@@ -34,6 +34,14 @@ def _fmt(v) -> str:
     return f"{v:.3g}"
 
 
+def _fmt_x(x) -> str:
+    # Axis ticks such as migration counts are whole numbers: print 10, not
+    # 10.0.
+    if isinstance(x, int):
+        return str(x)
+    return _fmt(x)
+
+
 def render_table(
     title: str,
     columns: Sequence[str],
@@ -76,7 +84,7 @@ def render_series(
     width = max([len(s.approach) for s in series] + [len(x_label)]) + 2
     colw = 12
     out = [f"== {title}" + (f" [{unit}]" if unit else "")]
-    header = x_label.ljust(width) + "".join(_fmt(x).rjust(colw) for x in xs)
+    header = x_label.ljust(width) + "".join(_fmt_x(x).rjust(colw) for x in xs)
     out.append(header)
     out.append("-" * len(header))
     out.extend(

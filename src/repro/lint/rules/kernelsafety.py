@@ -24,6 +24,14 @@ dataflow upgrade adds two proof-backed rules:
     (``done = env.process(...)``, later ``yield done``) or mark a
     deliberate daemon with ``# simlint: daemon -- <why>`` (counted in
     the suppression budget like any other pragma).
+``K405``
+    A ``yield`` (or ``yield from``/``await``) inside ``with <x>.batch():``.
+    ``Fabric.batch`` defers the reshare of every flow admitted in the
+    scope to the scope's exit, which is only sound while simulated time
+    stands still; a yield lets the clock move with the deferred rates
+    still standing (the fabric raises ``RuntimeError`` when it sees
+    that at run time).  Collect the events inside the scope and yield
+    after it.
 
 Decorated generators (``@contextmanager``, ``@pytest.fixture``,
 ``@property``) are not kernel processes and are exempt.
@@ -32,6 +40,7 @@ Decorated generators (``@contextmanager``, ``@pytest.fixture``,
 from __future__ import annotations
 
 import ast
+from typing import Optional
 
 from repro.lint.config import in_scope
 from repro.lint.dataflow import (
@@ -58,6 +67,9 @@ _HINT_YIELD = ("kernel processes may only yield Event objects (timeouts, "
 _HINT_FLOW = ("every definition reaching this yield is a plain value, not "
               "an Event; yield the result of env.timeout/env.process/"
               "fabric.transfer or another Event factory")
+_HINT_BATCH = ("build the transfers inside the batch and yield their events "
+               "after the with-block; simulated time must not pass while a "
+               "batch is open")
 _HINT_SPAWN = ("bind the returned Process (and later yield it) so failures "
                "propagate, or tag a deliberate fire-and-forget with "
                "'# simlint: daemon -- <reason>'")
@@ -85,6 +97,7 @@ def check(ctx: FileContext) -> list[Finding]:
             continue
         if decorator_names(fn) & _EXEMPT_DECORATORS:
             continue
+        out.extend(_check_batch_yields(ctx, fn))
         unreachable = _unreachable_yields(fn)
         defs = collect_defs(fn.body)
         out.extend(_check_blocking(ctx, fn))
@@ -201,6 +214,43 @@ def _check_discarded_spawns(ctx: FileContext,
             f"spawned process '{dotted}(...)' is neither awaited nor "
             f"daemon-tagged", _HINT_SPAWN).with_witness(witness))
     return out
+
+
+def _check_batch_yields(ctx: FileContext,
+                        fn: ast.FunctionDef) -> list[Finding]:
+    """K405: a yield inside a ``with <x>.batch():`` block."""
+    out: list[Finding] = []
+    reported: set[ast.AST] = set()
+    for node in walk_own(fn.body):
+        if not isinstance(node, (ast.With, ast.AsyncWith)):
+            continue
+        dotted = next((name for name in map(_batch_opener, node.items)
+                       if name is not None), None)
+        if dotted is None:
+            continue
+        for inner in walk_own(node.body):
+            if (not isinstance(inner, (ast.Yield, ast.YieldFrom, ast.Await))
+                    or inner in reported):
+                continue
+            reported.add(inner)
+            witness = (hop(node, f"batch opened by {dotted}()"),
+                       hop(inner, "the process suspends here, batch open"))
+            out.append(ctx.finding(
+                inner, "K405",
+                f"process generator '{fn.name}' yields inside "
+                f"'{dotted}()'", _HINT_BATCH).with_witness(witness))
+    return out
+
+
+def _batch_opener(item: ast.withitem) -> Optional[str]:
+    """``"self.fabric.batch"`` for a ``with self.fabric.batch():`` item."""
+    expr = item.context_expr
+    if not isinstance(expr, ast.Call):
+        return None
+    chain = attr_chain(expr.func)
+    if chain is None or len(chain) < 2 or chain[-1] != "batch":
+        return None
+    return ".".join(chain)
 
 
 def _unreachable_yields(fn: ast.FunctionDef) -> set[ast.expr]:

@@ -1,7 +1,8 @@
 """The live fabric: flows, byte integration, rate recomputation.
 
 The :class:`Fabric` keeps the set of in-flight flows.  Whenever the set
-changes (a transfer starts or completes) it
+changes (a transfer starts or completes; a :meth:`Fabric.batch` of
+same-instant admissions counts as one change) it
 
 1. integrates every flow's progress at the previous rates up to *now*
    (crediting the traffic meter),
@@ -18,9 +19,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
-import numpy as np
-
 from repro.netsim.fairness import IncrementalMaxMin, maxmin_single_switch
+from repro.netsim.flowtable import FlowGroup, FlowTable
 from repro.netsim.topology import Host, Topology
 from repro.netsim.traffic import TrafficMeter
 from repro.obs.causal.record import annotate
@@ -40,7 +40,7 @@ class NetFlow:
     """One in-flight bulk transfer."""
 
     __slots__ = ("src", "dst", "tag", "cause", "weight", "nbytes", "remaining",
-                 "rate", "done", "started_at", "_accounted")
+                 "rate", "done", "started_at", "_accounted", "_seq", "_group")
 
     def __init__(
         self,
@@ -63,6 +63,9 @@ class NetFlow:
         self.done = Event(env)
         self.started_at = env.now
         self._accounted = 0.0
+        #: Arrival number and coalescing group, set by the flow table.
+        self._seq = -1
+        self._group: Optional[FlowGroup] = None
 
     def __repr__(self) -> str:
         return (
@@ -99,7 +102,7 @@ class Fabric:
         self.topology = topology
         self.latency = float(latency)
         self.meter = meter if meter is not None else TrafficMeter()
-        self._flows: list[NetFlow] = []
+        self._flows = FlowTable()
         self._last_update = env.now
         self._timer = RearmableTimer(env, self._on_wakeup)
         self._cause_override: list[str] = []
@@ -112,6 +115,52 @@ class Fabric:
         #: no-op — the standing rates are still the solution.
         self._dirty = True
         self._topo_version_seen = -1
+        #: Open :meth:`batch` depth and the sim time it was opened at.
+        self._batch_depth = 0
+        self._batch_at = 0.0
+
+    @contextmanager
+    def batch(self):
+        """Admit every flow created inside the scope in one reshare.
+
+        A fan-out that starts many flows in the same instant (a striped
+        repository fetch, a halo exchange) would otherwise re-solve and
+        re-arm the wakeup once per flow, each time over every live flow.
+        Inside the scope :meth:`transfer`, :meth:`cancel` and
+        :meth:`abort_flows` only update the flow set; the recompute and
+        the timer re-arm run once, when the outermost scope exits (also
+        on an exception).  The intermediate solves were dead work: no
+        simulated time passes between them, so no byte ever moved at
+        their rates.  Simulated time must not pass inside the scope
+        either -- never ``yield`` inside it (simlint K405).
+        """
+        if self._batch_depth == 0:
+            self._batch_at = self.env.now
+        self._batch_depth += 1
+        try:
+            yield self
+        finally:
+            try:
+                self._check_batch_clock()
+            finally:
+                self._batch_depth -= 1
+            if self._batch_depth == 0 and self._dirty:
+                self._recompute()
+                self._reschedule()
+
+    def _check_batch_clock(self) -> None:
+        if self._batch_depth and self.env.now != self._batch_at:
+            raise RuntimeError(
+                f"simulated time moved from {self._batch_at!r} to "
+                f"{self.env.now!r} inside Fabric.batch(); a batch must not "
+                "span a yield")
+
+    def _changed(self) -> None:
+        """The flow set changed: reshare now, or at the end of the batch."""
+        self._dirty = True
+        if self._batch_depth == 0:
+            self._recompute()
+            self._reschedule()
 
     @contextmanager
     def cause_scope(self, cause: str):
@@ -209,10 +258,8 @@ class Fabric:
         annotate(self.env, flow.done, "net.flow",
                  tag=tag, cause=cause, src=src.name, dst=dst.name)
         self._advance()
-        self._flows.append(flow)
-        self._dirty = True
-        self._recompute()
-        self._reschedule()
+        self._flows.add(flow)
+        self._changed()
         return flow.done
 
     def message(self, src: Host, dst: Host, nbytes: float = 512,
@@ -268,7 +315,6 @@ class Fabric:
         if flow not in self._flows:
             return False  # crossed the finish line at the integration step
         self._flows.remove(flow)
-        self._dirty = True
         tr = self.env.tracer
         if tr.enabled:
             tr.instant("flow.cancelled", cat="net", tid=f"net:{flow.tag}",
@@ -278,8 +324,7 @@ class Fabric:
         mx = self.env.metrics
         if mx.enabled:
             mx.counter("net.flows.cancelled").inc()
-        self._recompute()
-        self._reschedule()
+        self._changed()
         return True
 
     def abort_flows(self, host: Host) -> int:
@@ -295,7 +340,6 @@ class Fabric:
             return 0
         for fl in doomed:
             self._flows.remove(fl)
-        self._dirty = True
         tr = self.env.tracer
         if tr.enabled:
             tr.instant("flows.aborted", cat="net", tid="net:faults",
@@ -303,8 +347,7 @@ class Fabric:
         mx = self.env.metrics
         if mx.enabled:
             mx.counter("net.flows.aborted").inc(len(doomed))
-        self._recompute()
-        self._reschedule()
+        self._changed()
         return len(doomed)
 
     def _black_hole(self, src: Host, dst: Host, tag: str,
@@ -332,24 +375,27 @@ class Fabric:
 
     # -- internals -----------------------------------------------------------
     def _advance(self) -> None:
+        self._check_batch_clock()
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._flows:
+        table = self._flows
+        if dt <= 0 or not table:
             return
         prof = self.env.profiler
         if prof.enabled:
             prof.enter("fabric.advance")
             prof.count("fabric.advances")
-            prof.count("fabric.flows_advanced", len(self._flows))
+            prof.count("fabric.flows_advanced", len(table))
         try:
             sr = self.env.series
+            meter = self.meter
             finished: list[NetFlow] = []
-            for fl in self._flows:
+            for fl in table:
                 moved = min(fl.rate * dt, fl.remaining)
                 fl.remaining -= moved
                 fl._accounted += moved
-                self.meter.add(fl.tag, moved, cause=fl.cause)
+                meter.add(fl.tag, moved, cause=fl.cause)
                 if sr.enabled:
                     # Shadow the meter credit value-for-value so the
                     # net.<tag> curve stays bit-identical to by_tag().
@@ -357,16 +403,17 @@ class Fabric:
                 if fl.remaining <= _DONE_EPS:
                     fl.remaining = 0.0
                     finished.append(fl)
-            if finished:
-                self._dirty = True
+            if not finished:
+                return
+            self._dirty = True
             tr = self.env.tracer
             mx = self.env.metrics
             for fl in finished:
-                self._flows.remove(fl)
+                table.remove(fl)
                 # Credit any residual rounding so accounting is exact.
                 if fl._accounted < fl.nbytes:
                     residual = fl.nbytes - fl._accounted
-                    self.meter.add(fl.tag, residual, cause=fl.cause)
+                    meter.add(fl.tag, residual, cause=fl.cause)
                     if sr.enabled:
                         sr.credit_net(fl.tag, fl.cause, now, residual)
                     fl._accounted = fl.nbytes
@@ -429,27 +476,9 @@ class Fabric:
             # proportionally to member weights — the coalesced solve is
             # mathematically the per-flow solve, at a fraction of the
             # variable count.  Applied under both kernels: it is model
-            # semantics, not a fast-path shortcut.
-            group_key: dict[tuple[int, int, str], int] = {}
-            g_srcs: list[int] = []
-            g_dsts: list[int] = []
-            g_weights: list[float] = []
-            members: list[list[NetFlow]] = []
-            for fl in self._flows:
-                key = (fl.src.index, fl.dst.index, fl.tag)
-                gi = group_key.get(key)
-                if gi is None:
-                    group_key[key] = len(g_srcs)
-                    g_srcs.append(fl.src.index)
-                    g_dsts.append(fl.dst.index)
-                    g_weights.append(fl.weight)
-                    members.append([fl])
-                else:
-                    g_weights[gi] += fl.weight
-                    members[gi].append(fl)
-            srcs = np.array(g_srcs, dtype=np.intp)
-            dsts = np.array(g_dsts, dtype=np.intp)
-            weights = np.array(g_weights, dtype=np.float64)
+            # semantics, not a fast-path shortcut.  The flow table keeps
+            # the groups up to date as flows come and go.
+            weights, srcs, dsts = self._flows.solver_inputs()
             if self.env.kernel == "fast":
                 rates = self._maxmin.solve(weights, srcs, dsts, stats=stats)
             else:
@@ -465,15 +494,7 @@ class Fabric:
                     uplink_caps=topo.uplink_caps_array(),
                     stats=stats,
                 )
-            for gi in range(len(members)):
-                group = members[gi]
-                rate = float(rates[gi])
-                if len(group) == 1:
-                    group[0].rate = rate
-                else:
-                    total_w = g_weights[gi]
-                    for fl in group:
-                        fl.rate = rate * (fl.weight / total_w)
+            self._flows.assign_rates(rates)
             sr = self.env.series
             if sr.enabled:
                 self._sample_allocation(sr)
@@ -524,9 +545,9 @@ class Fabric:
             default=None,
         )
         if eta is None:
-            # Degenerate: every flow throttled to zero (cannot normally
-            # happen with positive capacities); retry after a tick rather
-            # than deadlock.
+            # Every flow throttled to zero (a partitioned link, or a host
+            # degraded to zero capacity): retry after a tick rather than
+            # deadlock.
             eta = 1.0
         self._timer.arm(max(eta, _MIN_ETA))
 

@@ -97,18 +97,7 @@ class StripedRepository:
             ev.succeed(0.0)
             return ev
 
-        per_server: dict[int, int] = defaultdict(int)
-        for chunk in chunk_ids:
-            replicas = [
-                s for s in self.replicas_of(int(chunk)) if self._server_alive(s)
-            ]
-            if not replicas:
-                raise RepositoryUnavailable(
-                    f"all {self.replication} replica(s) of chunk {int(chunk)} "
-                    "are on failed servers"
-                )
-            best = min(replicas, key=lambda s: self._load[s])
-            per_server[best] += 1
+        per_server = self._plan_fetch(chunk_ids)
 
         tr = self.env.tracer
         if tr.enabled:
@@ -122,17 +111,43 @@ class StripedRepository:
             mx.counter("repo.fetch.requests").inc()
             mx.gauge("repo.fetch.stripe_width").set(len(per_server))
         transfers = []
-        for sidx, count in per_server.items():
-            nbytes = count * self.chunk_size
-            self._load[sidx] += nbytes
-            self.bytes_served += nbytes
-            ev = self.fabric.transfer(
-                self.servers[sidx], dest, nbytes, tag=tag, weight=weight,
-                cause=cause,
-            )
-            ev.add_callback(self._make_unloader(sidx, nbytes))
-            transfers.append(ev)
+        with self.fabric.batch():
+            for sidx, count in per_server.items():
+                nbytes = count * self.chunk_size
+                self._load[sidx] += nbytes
+                self.bytes_served += nbytes
+                ev = self.fabric.transfer(
+                    self.servers[sidx], dest, nbytes, tag=tag, weight=weight,
+                    cause=cause,
+                )
+                ev.add_callback(self._make_unloader(sidx, nbytes))
+                transfers.append(ev)
         return self.env.all_of(transfers)
+
+    def _plan_fetch(self, chunk_ids: np.ndarray) -> dict[int, int]:
+        """``{server index: chunk count}`` of a fetch, servers in order of
+        first use.
+
+        Each chunk goes to its least-loaded live replica, ties to the
+        first replica in placement order (``argmin`` keeps the first
+        minimum).  Loads are read once, before any of the fetch's own
+        bytes are booked.
+        """
+        n = len(self.servers)
+        replicas = (chunk_ids[:, None] + np.arange(self.replication)) % n
+        up = np.array([self._server_alive(s) for s in range(n)])[replicas]
+        stranded = ~up.any(axis=1)
+        if stranded.any():
+            raise RepositoryUnavailable(
+                f"all {self.replication} replica(s) of chunk "
+                f"{int(chunk_ids[stranded.argmax()])} are on failed servers"
+            )
+        load = np.where(up, self._load[replicas], np.inf)
+        best = replicas[np.arange(len(replicas)), load.argmin(axis=1)]
+        servers, first, counts = np.unique(best, return_index=True,
+                                           return_counts=True)
+        order = np.argsort(first)
+        return dict(zip(servers[order].tolist(), counts[order].tolist()))
 
     def store(
         self,
@@ -172,14 +187,15 @@ class StripedRepository:
             mx.counter("repo.store.chunks").inc(int(len(chunk_ids)))
             mx.counter("repo.store.requests").inc()
         transfers = []
-        for sidx, count in per_server.items():
-            nbytes = count * self.chunk_size
-            transfers.append(
-                self.fabric.transfer(
-                    src, self.servers[sidx], nbytes, tag=tag, weight=weight,
-                    cause=cause,
+        with self.fabric.batch():
+            for sidx, count in per_server.items():
+                nbytes = count * self.chunk_size
+                transfers.append(
+                    self.fabric.transfer(
+                        src, self.servers[sidx], nbytes, tag=tag,
+                        weight=weight, cause=cause,
+                    )
                 )
-            )
         return self.env.all_of(transfers)
 
     def _make_unloader(self, sidx: int, nbytes: float):

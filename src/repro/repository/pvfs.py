@@ -95,10 +95,11 @@ class PVFS:
         self.bytes_read += nbytes
         picked = self._pick_servers()
         share = nbytes / len(picked)
-        return self.env.all_of(
-            [self.fabric.transfer(s, client, share, tag=tag, cause=cause)
-             for s in picked]
-        )
+        with self.fabric.batch():
+            events = [self.fabric.transfer(s, client, share, tag=tag,
+                                           cause=cause)
+                      for s in picked]
+        return self.env.all_of(events)
 
     def write(self, client: Host, nbytes: float, tag: str = "pvfs-io",
               cause: str = "workload") -> Event:
@@ -116,8 +117,10 @@ class PVFS:
         self.bytes_written += nbytes
         picked = self._pick_servers()
         share = nbytes / len(picked)
-        events = [self.fabric.transfer(client, s, share, tag=tag, cause=cause)
-                  for s in picked]
+        with self.fabric.batch():
+            events = [self.fabric.transfer(client, s, share, tag=tag,
+                                           cause=cause)
+                      for s in picked]
         events.append(self._write_limiter(client).transfer(nbytes))
         return self.env.all_of(events)
 

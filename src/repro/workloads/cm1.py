@@ -108,14 +108,15 @@ class CM1Workload(Workload):
         one flow per direction per step.
         """
         sends = []
-        for nb in self._neighbours():
-            peer_vm = self.peers[nb]
-            sends.append(
-                self.fabric.transfer(
-                    self.vm.host, peer_vm.host, float(self.halo_bytes), tag="app",
-                    cause="workload"
+        with self.fabric.batch():
+            for nb in self._neighbours():
+                peer_vm = self.peers[nb]
+                sends.append(
+                    self.fabric.transfer(
+                        self.vm.host, peer_vm.host, float(self.halo_bytes),
+                        tag="app", cause="workload"
+                    )
                 )
-            )
         if sends:
             yield self.env.all_of(sends)
 

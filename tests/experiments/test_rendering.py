@@ -36,6 +36,13 @@ class TestRenderSeries:
         lines = text.splitlines()
         assert any("50" in ln for ln in lines)
 
+    def test_integer_x_values_print_without_decimals(self):
+        s = SeriesResult("ours")
+        for n in (1, 10, 20, 30):
+            s.add(n, 12.0)
+        header = render_series("Fig", "#migrations", [s]).splitlines()[1]
+        assert header.split() == ["#migrations", "1", "10", "20", "30"]
+
     def test_empty_series(self):
         assert "no data" in render_series("Fig", "x", [])
 

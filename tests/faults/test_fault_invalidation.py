@@ -90,7 +90,7 @@ def test_link_degrade_invalidates_standing_rates():
     fabric.transfer(topo.hosts[0], topo.hosts[1], 1e9,
                     tag="storage-push", cause="push")
     env.run(until=0.5)
-    fl = fabric._flows[0]
+    fl = next(iter(fabric._flows))
     assert fl.rate == pytest.approx(100e6)
     v0 = topo.version
     topo.degrade_host("a", 0.5)
@@ -105,7 +105,7 @@ def test_link_partition_and_restore_round_trip():
     fabric.transfer(topo.hosts[0], topo.hosts[1], 1e9,
                     tag="storage-push", cause="push")
     env.run(until=0.5)
-    fl = fabric._flows[0]
+    fl = next(iter(fabric._flows))
     before = fl.rate
     topo.degrade_host("b", 0.0)  # transient partition
     fabric.sync()

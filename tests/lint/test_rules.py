@@ -32,6 +32,7 @@ BAD_CASES = [
     ("bad_probe.py", "P", {"P701", "P702", "P703"}),
     ("bad_structure.py", "S", {"S501"}),
     ("bad_obsdag.py", "S", {"S502"}),
+    ("bad_kernelbatch.py", "K", {"K405"}),
 ]
 
 
@@ -51,6 +52,7 @@ def test_bad_fixture_trips_exactly_its_family(name, family, expected_ids):
     "good_causetags.py",
     "good_kernel.py",
     "good_kernelflow.py",
+    "good_kernelbatch.py",
     "good_probe.py",
     "good_structure.py",
     "good_obsdag.py",
@@ -91,7 +93,8 @@ def test_dataflow_findings_carry_witness_paths():
     # inside the fixture, ending at the finding's own line.
     for name, rule in [("bad_floattaint.py", "F601"),
                        ("bad_probe.py", "P701"),
-                       ("bad_kernelflow.py", "K403")]:
+                       ("bad_kernelflow.py", "K403"),
+                       ("bad_kernelbatch.py", "K405")]:
         result = lint_fixture(name)
         found = [f for f in result.findings if f.rule == rule]
         assert found, (name, rule)

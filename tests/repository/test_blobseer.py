@@ -1,10 +1,14 @@
 """Tests for the striped repository (BlobSeer model)."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim import Fabric, Topology
-from repro.repository.blobseer import StripedRepository
+from repro.repository.blobseer import RepositoryUnavailable, StripedRepository
 from repro.simkernel import Environment
 
 
@@ -37,6 +41,47 @@ def test_empty_fetch_instant():
     env, fabric, repo, servers, clients = make_repo()
     ev = repo.fetch(np.array([], dtype=np.intp), clients[0])
     assert ev.triggered
+
+
+def _plan_per_chunk(repo, chunk_ids):
+    """The per-chunk replica choice ``_plan_fetch`` vectorizes, verbatim."""
+    per_server = {}
+    for chunk in chunk_ids:
+        replicas = [s for s in repo.replicas_of(int(chunk))
+                    if repo._server_alive(s)]
+        if not replicas:
+            raise RepositoryUnavailable(
+                f"all {repo.replication} replica(s) of chunk {int(chunk)} "
+                "are on failed servers")
+        best = min(replicas, key=lambda s: repo._load[s])
+        per_server[best] = per_server.get(best, 0) + 1
+    return per_server
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_servers=st.integers(1, 6),
+       chunks=st.lists(st.integers(0, 40), min_size=1, max_size=30))
+def test_fetch_plan_matches_per_chunk_choice(data, n_servers, chunks):
+    replication = data.draw(st.integers(1, n_servers))
+    env, fabric, repo, servers, clients = make_repo(
+        n_servers=n_servers, replication=replication)
+    # Few distinct load levels, so ties between replicas are common.
+    repo._load[:] = data.draw(st.lists(st.sampled_from([0.0, 100.0, 250.0]),
+                                       min_size=n_servers,
+                                       max_size=n_servers))
+    for idx in data.draw(st.lists(st.integers(0, n_servers - 1),
+                                  max_size=n_servers)):
+        repo.fail_server(idx)
+    chunk_ids = np.array(chunks, dtype=np.intp)
+    try:
+        expected = _plan_per_chunk(repo, chunk_ids)
+    except RepositoryUnavailable as exc:
+        with pytest.raises(RepositoryUnavailable, match=re.escape(str(exc))):
+            repo._plan_fetch(chunk_ids)
+        return
+    plan = repo._plan_fetch(chunk_ids)
+    assert list(plan.items()) == list(expected.items())
+    assert all(type(k) is int and type(v) is int for k, v in plan.items())
 
 
 def test_striped_fetch_uses_parallel_servers():
