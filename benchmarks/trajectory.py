@@ -19,6 +19,9 @@ history.  Each invocation
   per-cause bytes conserve exactly against the TrafficMeter total *and*
   every migration attempt's critical-path segments sum exactly to its
   wall time;
+* times the same fig2 cell with telemetry off and with each channel
+  (trace, trace+causal, series, metrics) on alone, and records each
+  channel's on/off wall ratio (``obs_overhead``; reported, not gated);
 * appends one entry to ``BENCH_simulator.json`` (a JSON array at the
   repo root by default) so successive runs form a trajectory, and fails
   if aggregate kernel events/sec regressed more than 30% against the
@@ -252,6 +255,56 @@ def traced_fig2(report_path: str | None):
     }
 
 
+#: ``Observability`` settings timed by :func:`obs_overhead`: every
+#: channel off, then each channel on alone.
+OBS_OFF = dict(trace=False, metrics=False)
+OBS_CHANNELS = {
+    "trace": dict(OBS_OFF, trace=True),
+    "trace+causal": dict(OBS_OFF, trace=True, causal=True),
+    "series": dict(OBS_OFF, series=True),
+    "metrics": dict(OBS_OFF, metrics=True),
+}
+
+#: Rounds of :func:`obs_overhead` (after one warmup round).  A fig2 run
+#: takes ~50 ms, so one run per setting is too noisy for a ratio.
+OBS_ROUNDS = 7
+
+
+def obs_overhead() -> dict:
+    """Per-channel telemetry cost on the traced_fig2 cell.
+
+    Runs ``run_fig2`` with every channel off and with each of
+    :data:`OBS_CHANNELS` on alone, round-robin so load drift hits every
+    setting alike, and reports each channel's median wall and its
+    on/off ratio.  Reported, not gated: it carries no ``events_per_s``.
+    """
+    import gc
+
+    from repro.experiments.fig2 import run_fig2
+    from repro.obs import Observability
+
+    settings = {"off": OBS_OFF, **OBS_CHANNELS}
+    walls: dict[str, list[float]] = {name: [] for name in settings}
+    for i in range(WARMUP_RUNS + OBS_ROUNDS):
+        for name, kwargs in settings.items():
+            obs = Observability(**kwargs)
+            gc.collect()
+            t0 = time.perf_counter()
+            run_fig2(obs=obs)
+            if i >= WARMUP_RUNS:
+                walls[name].append(time.perf_counter() - t0)
+    median = {name: sorted(w)[len(w) // 2] for name, w in walls.items()}
+    return {
+        "name": "obs_overhead",
+        "wall_s": round(median["off"], 6),
+        "channels": {
+            name: {"wall_s": round(median[name], 6),
+                   "ratio": round(median[name] / median["off"], 4)}
+            for name in OBS_CHANNELS
+        },
+    }
+
+
 def _git_head() -> str | None:
     try:
         out = subprocess.run(
@@ -316,6 +369,12 @@ def run_trajectory(quick: bool, report: str | None) -> dict:
     print(f"  conservation: {'exact' if entry['conservation_ok'] else 'FAILED'}")
     print("  critical path: "
           f"{'exact' if entry['critical_path_ok'] else 'FAILED'}")
+
+    overhead = obs_overhead()
+    entry["scenarios"].append(overhead)
+    print(f"  {'obs_overhead':24s} {overhead['wall_s']:8.3f} s off   "
+          + "  ".join(f"{name} x{ch['ratio']:.2f}"
+                      for name, ch in overhead["channels"].items()))
     return entry
 
 

@@ -24,10 +24,6 @@ PHASE_ORDER = [
 ]
 
 
-def _tid_name(tid_names: dict, tid) -> str:
-    return tid_names.get(tid, f"tid-{tid}")
-
-
 def migration_timelines(events: list, tid_names: dict) -> list[dict]:
     """One timeline per migration attempt found in this run's events.
 
@@ -37,9 +33,11 @@ def migration_timelines(events: list, tid_names: dict) -> list[dict]:
     """
     lanes: dict[str, list[dict]] = {}
     aborts: dict[str, list[dict]] = {}
+    # Unnamed tids fall back to "tid-<n>", never a migration lane.
+    migration_lanes = {t: n for t, n in tid_names.items() if n.startswith("migration:")}
     for ev in events:
-        lane = _tid_name(tid_names, ev.get("tid"))
-        if not lane.startswith("migration:"):
+        lane = migration_lanes.get(ev.get("tid"))
+        if lane is None:
             continue
         if ev.get("ph") == "X" and ev.get("cat") == "migration":
             lanes.setdefault(lane, []).append(ev)

@@ -1057,14 +1057,14 @@ def render_html(summary: dict, title: str = "Migration flight report",
         '<span class="badge bad"><span class="dot">✗</span>'
         "byte attribution NOT conserved — see runs below</span>"
     )
-    return (
+    return "".join([  # one join: + would copy the multi-MB page each time
         "<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
         f"<title>{escape(title)}</title>"
         f"<style>{_CSS}</style></head>"
         "<body class='viz-root'>"
         f"<h1>{escape(title)}</h1>"
         f"<p class='sub'>{len(summary['runs'])} run(s) · "
-        f"schema {escape(summary['schema'])} · {overall}</p>"
-        + "".join(body)
-        + "</body></html>\n"
-    )
+        f"schema {escape(summary['schema'])} · {overall}</p>",
+        *body,
+        "</body></html>\n",
+    ])

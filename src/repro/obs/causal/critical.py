@@ -4,10 +4,13 @@ Per migration attempt, walk backwards from completion: the attempt's
 wall time is tiled by the spine process's (``migrate:<vm>``) recorded
 waits; each wait resolves to a resource class either directly (annotated
 events) or by recursing — into the winning branch of a condition, or
-into the producer process of a handoff.  All interval arithmetic is done
-on :class:`fractions.Fraction` built from the recorder's exact
-simulation-time floats, so the conservation check (segment durations sum
-to attempt wall time) either passes *exactly* or names the residual.
+into the producer process of a handoff.  The walk runs on the recorder's
+simulation-time floats: they are exact binary values, and float ``<``,
+``==`` and ``min`` order them exactly as :class:`fractions.Fraction`
+would.  Only the window snapping and the sums (wall time, segment total,
+per-resource seconds) build Fractions, so the conservation check
+(segment durations sum to attempt wall time) either passes *exactly* or
+names the residual.
 
 The attempt window reported by the phase timeline has made a float
 round-trip through microsecond trace timestamps (``seconds * 1e6 / 1e6``),
@@ -19,6 +22,7 @@ extractor snaps the window to the nearest wait boundary within
 from __future__ import annotations
 
 # simlint: exact -- segment sums must tile the wall clock with zero residual
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Optional
 
@@ -78,7 +82,7 @@ def classify(desc: dict) -> Optional[str]:
 class _Wait:
     __slots__ = ("t0", "t1", "desc")
 
-    def __init__(self, t0: Fraction, t1: Fraction, desc: dict) -> None:
+    def __init__(self, t0: float, t1: float, desc: dict) -> None:
         self.t0 = t0
         self.t1 = t1
         self.desc = desc
@@ -95,8 +99,8 @@ def extract_waits(events: list) -> dict[str, list[_Wait]]:
         if proc is None:
             continue
         out.setdefault(proc, []).append(_Wait(
-            Fraction(float(args.get("t0", 0.0))),
-            Fraction(float(args.get("t1", 0.0))),
+            float(args.get("t0", 0.0)),
+            float(args.get("t1", 0.0)),
             args.get("w") or {},
         ))
     for waits in out.values():
@@ -104,8 +108,8 @@ def extract_waits(events: list) -> dict[str, list[_Wait]]:
     return out
 
 
-def _resolve(wbp: dict, desc: dict, lo: Fraction, hi: Fraction,
-             stack: frozenset) -> list[tuple[Fraction, Fraction, str]]:
+def _resolve(wbp: dict, desc: dict, lo: float, hi: float,
+             stack: frozenset) -> list[tuple[float, float, str]]:
     """Segments tiling ``[lo, hi]`` for one wait on ``desc``."""
     if hi <= lo:
         return []
@@ -147,8 +151,8 @@ def _pick(children: list, first_done: bool) -> Optional[dict]:
     return best
 
 
-def _into_process(wbp: dict, proc: Optional[str], lo: Fraction, hi: Fraction,
-                  stack: frozenset) -> list[tuple[Fraction, Fraction, str]]:
+def _into_process(wbp: dict, proc: Optional[str], lo: float, hi: float,
+                  stack: frozenset) -> list[tuple[float, float, str]]:
     """Recurse into a producer process's own waits over the window.
 
     Gaps in its coverage (the producer was computing at zero sim-time
@@ -161,10 +165,10 @@ def _into_process(wbp: dict, proc: Optional[str], lo: Fraction, hi: Fraction,
     return _cover(wbp, proc, lo, hi, stack | {proc}, gap="handoff")
 
 
-def _cover(wbp: dict, proc: str, lo: Fraction, hi: Fraction,
-           stack: frozenset, gap: str) -> list[tuple[Fraction, Fraction, str]]:
+def _cover(wbp: dict, proc: str, lo: float, hi: float,
+           stack: frozenset, gap: str) -> list[tuple[float, float, str]]:
     """Tile ``[lo, hi]`` with ``proc``'s waits; uncovered stretches → ``gap``."""
-    segs: list[tuple[Fraction, Fraction, str]] = []
+    segs: list[tuple[float, float, str]] = []
     pos = lo
     for w in wbp.get(proc, []):
         if w.t1 <= pos:
@@ -196,14 +200,20 @@ def _merge(segs: list) -> list:
     return merged
 
 
-def _snap(t: Fraction, boundaries: list[Fraction]) -> Fraction:
-    best = None
+def _snap(t: float, boundaries: list[float]) -> float:
+    """The sorted ``boundaries``' nearest to ``t`` within :data:`SNAP_EPS`
+    (later wins a tie), else ``t``.  Bisection finds the candidates."""
+    exact = Fraction(t)
+    best = t
     best_d = SNAP_EPS
-    for b in boundaries:
-        d = abs(b - t)
+    for b in boundaries[
+        bisect_left(boundaries, exact - SNAP_EPS, key=Fraction):
+        bisect_right(boundaries, exact + SNAP_EPS, key=Fraction)
+    ]:
+        d = abs(Fraction(b) - exact)
         if d <= best_d:
             best, best_d = b, d
-    return best if best is not None else t
+    return best
 
 
 def critical_paths(events: list, tid_names: dict,
@@ -224,8 +234,8 @@ def critical_paths(events: list, tid_names: dict,
     for tl in timelines:
         spine = f"migrate:{tl['vm']}"
         waits = wbp.get(spine)
-        lo = Fraction(float(tl["start_s"]))
-        hi = Fraction(float(tl["end_s"]))
+        lo = float(tl["start_s"])
+        hi = float(tl["end_s"])
         if waits:
             boundaries = sorted({w.t0 for w in waits} | {w.t1 for w in waits})
             lo = _snap(lo, boundaries)
@@ -233,11 +243,11 @@ def critical_paths(events: list, tid_names: dict,
         segs = _merge(_cover(
             wbp, spine, lo, hi, frozenset({spine}), gap="unattributed",
         ))
-        wall = hi - lo
-        seg_sum = sum((t1 - t0 for t0, t1, _r in segs), Fraction(0))
+        wall = Fraction(hi) - Fraction(lo)
         by_res: dict[str, Fraction] = {}
         for t0, t1, res in segs:
-            by_res[res] = by_res.get(res, Fraction(0)) + (t1 - t0)
+            by_res[res] = by_res.get(res, Fraction(0)) + (Fraction(t1) - Fraction(t0))
+        seg_sum = sum(by_res.values(), Fraction(0))
         ranking = [
             {
                 "resource": res,
@@ -252,12 +262,11 @@ def critical_paths(events: list, tid_names: dict,
             "vm": tl["vm"],
             "attempt": tl["attempt"],
             "aborted": tl["aborted"],
-            "start_s": float(lo),
-            "end_s": float(hi),
+            "start_s": lo,
+            "end_s": hi,
             "wall_s": float(wall),
             "segments": [
-                {"t0": float(t0), "t1": float(t1), "resource": res}
-                for t0, t1, res in segs
+                {"t0": t0, "t1": t1, "resource": res} for t0, t1, res in segs
             ],
             "by_resource": ranking,
             "conservation": {

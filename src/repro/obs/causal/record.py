@@ -19,11 +19,13 @@ producer's lane to the consumer's.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from functools import cache
+from typing import TYPE_CHECKING, Any, Optional, cast
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import Tracer
-    from repro.simkernel.core import Environment, Event
+    from repro.simkernel.core import Environment, Event, Process
+    from repro.simkernel.events import Condition
 
 __all__ = ["CausalRecorder", "annotate", "describe"]
 
@@ -57,47 +59,42 @@ def describe(event: "Event", depth: int = 0) -> dict:
     events (process joins, conditions, timers) report their shape and
     trigger times so the extractor can recurse.
     """
-    ann = getattr(event, "_causal", None)
+    ann = event._causal
     if ann is not None:
         desc: dict = {"k": ann[0]}
         if ann[1]:
-            desc["d"] = dict(ann[1])
-        _stamp(desc, event)
-        return desc
-    if depth >= _MAX_DEPTH:
+            desc["d"] = ann[1]  # annotate()'s own kwargs, never mutated
+    elif depth >= _MAX_DEPTH:
         return {"k": "deep"}
+    else:
+        kind = _kind(type(event))
+        desc = {"k": kind}
+        if kind == "proc":
+            desc["p"] = cast("Process", event).name
+        elif kind == "any" or kind == "all":
+            desc["c"] = [describe(child, depth + 1)
+                         for child in cast("Condition", event)._events]
+        elif kind == "event" and event.succeeded_by is not None:
+            desc["by"] = event.succeeded_by
+    _stamp(desc, event)
+    return desc
 
+
+@cache
+def _kind(cls: type) -> str:
+    """The structural kind of an unannotated event class."""
     # Local imports keep repro.obs import-safe (simkernel imports the
     # tracer module at startup; the reverse edge resolves lazily).
     from repro.simkernel.core import Process
     from repro.simkernel.events import AllOf, AnyOf, Timeout
 
-    if isinstance(event, Process):
-        desc = {"k": "proc", "p": event.name}
-        _stamp(desc, event)
-        return desc
-    if isinstance(event, (AnyOf, AllOf)):
-        desc = {
-            "k": "any" if isinstance(event, AnyOf) else "all",
-            "c": [describe(child, depth + 1) for child in event._events],
-        }
-        _stamp(desc, event)
-        return desc
-    if isinstance(event, Timeout):
-        desc = {"k": "timer"}
-        _stamp(desc, event)
-        return desc
-    desc = {"k": "event"}
-    by = getattr(event, "succeeded_by", None)
-    if by is not None:
-        desc["by"] = by
-    _stamp(desc, event)
-    return desc
+    bases = ((Process, "proc"), (AnyOf, "any"), (AllOf, "all"), (Timeout, "timer"))
+    return next((k for base, k in bases if issubclass(cls, base)), "event")
 
 
 def _stamp(desc: dict, event: "Event") -> None:
-    t0 = getattr(event, "created_at", None)
-    t1 = getattr(event, "triggered_at", None)
+    t0 = event.created_at
+    t1 = event.triggered_at
     if t0 is not None:
         desc["t0"] = t0
     if t1 is not None:
@@ -131,16 +128,14 @@ class CausalRecorder:
 
     def _emit_handoff(self, proc: str, t1: float, woke: "Event") -> None:
         """Flow arrow when another process produced the wakeup."""
-        from repro.simkernel.core import Process
-
-        if isinstance(woke, Process):
-            producer: Optional[str] = woke.name
+        if _kind(type(woke)) == "proc":
+            producer: Optional[str] = cast("Process", woke).name
         else:
-            producer = getattr(woke, "succeeded_by", None)
+            producer = woke.succeeded_by
         if producer is None or producer == proc:
             return
         tr = self._tracer
-        start_ts = getattr(woke, "triggered_at", None)
+        start_ts = woke.triggered_at
         if start_ts is None:
             start_ts = t1
         self._flow_seq += 1

@@ -6,8 +6,8 @@ engines, netsim, hypervisor models and the kernel:
 ``gauge``
     A sampled level (remaining-set size, link utilization, dirty bytes,
     ready-queue depth).  Each sample lands in a fixed-bin resampler so a
-    long run keeps bounded memory; a bin keeps its sample count, min,
-    max and last value.
+    long run keeps bounded memory.  The signal exports the last value
+    per bin, its total sample count and its run-wide min and max.
 ``rate``
     A cumulative byte (or count) curve.  The ``net.<tag>`` signals
     mirror the :class:`~repro.netsim.traffic.TrafficMeter` credit
@@ -87,85 +87,60 @@ class NullSeriesRecorder:
 NULL_SERIES = NullSeriesRecorder()
 
 
-class _Binned:
-    """Fixed-bin last/min/max/count resampler with doubling coarsening."""
-
-    __slots__ = ("width", "max_bins", "bins")
-
-    def __init__(self, width: float, max_bins: int) -> None:
-        self.width = width
-        self.max_bins = max_bins
-        # bin index -> [samples, min, max, last]
-        self.bins: dict[int, list[float]] = {}
-
-    def add(self, t: float, value: float) -> None:
-        idx = int(t / self.width)
-        while idx >= self.max_bins:
-            self._coarsen()
-            idx = int(t / self.width)
-        cell = self.bins.get(idx)
-        if cell is None:
-            self.bins[idx] = [1, value, value, value]
-        else:
-            cell[0] += 1
-            if value < cell[1]:
-                cell[1] = value
-            if value > cell[2]:
-                cell[2] = value
-            cell[3] = value
-
-    def _coarsen(self) -> None:
-        # Double the width; merge bin pairs in ascending index order so
-        # the later half-bin's "last" wins — deterministic regardless of
-        # insertion history.
-        self.width *= 2
-        merged: dict[int, list[float]] = {}
-        for idx in sorted(self.bins):
-            cell = self.bins[idx]
-            tgt = merged.get(idx // 2)
-            if tgt is None:
-                merged[idx // 2] = list(cell)
-            else:
-                tgt[0] += cell[0]
-                if cell[1] < tgt[1]:
-                    tgt[1] = cell[1]
-                if cell[2] > tgt[2]:
-                    tgt[2] = cell[2]
-                tgt[3] = cell[3]
-        self.bins = merged
-
-    def points(self) -> list[list[float]]:
-        """``[[bin_start_s, last_value], ...]`` in time order."""
-        return [
-            [idx * self.width, self.bins[idx][3]] for idx in sorted(self.bins)
-        ]
-
-    def samples(self) -> int:
-        return int(sum(cell[0] for cell in self.bins.values()))
-
-
 class _Signal:
-    __slots__ = ("kind", "unit", "binned", "vmin", "vmax", "total",
-                 "snapshots")
+    """One signal's state.
+
+    Gauge and rate samples land in fixed-width bins that keep only the
+    last value written (``bins``: bin index -> value), plus one sample
+    count for the whole signal; gauges also keep their run-wide min and
+    max.  A sample past ``max_bins`` doubles the bin width and merges
+    adjacent bins, the later half-bin's value winning.
+    """
+
+    __slots__ = ("kind", "unit", "width", "max_bins", "bins", "samples",
+                 "vmin", "vmax", "total", "snapshots")
 
     def __init__(self, kind: str, unit: str, width: float,
                  max_bins: int) -> None:
         self.kind = kind
         self.unit = unit
-        self.binned = _Binned(width, max_bins)
+        self.width = width
+        self.max_bins = max_bins
+        self.bins: dict[int, float] = {}
+        self.samples = 0
         self.vmin: float | None = None
         self.vmax: float | None = None
         self.total = 0.0
         self.snapshots: list[dict] = []
+
+    def add(self, t: float, value: float) -> None:
+        idx = int(t / self.width)
+        if idx >= self.max_bins:
+            idx = self.coarsen(t)
+        self.bins[idx] = value
+        self.samples += 1
+
+    def coarsen(self, t: float) -> int:
+        """Double the bin width until ``t`` fits; returns ``t``'s bin."""
+        idx = int(t / self.width)
+        while idx >= self.max_bins:
+            self.width *= 2
+            # Merge in ascending index order so the later half-bin's
+            # value wins, whatever the insertion history.
+            self.bins = {i // 2: v for i, v in sorted(self.bins.items())}
+            idx = int(t / self.width)
+        return idx
 
     def as_doc(self) -> dict:
         doc: dict = {"kind": self.kind, "unit": self.unit}
         if self.kind == "distribution":
             doc["snapshots"] = self.snapshots
             return doc
-        doc["bin_width"] = self.binned.width
-        doc["samples"] = self.binned.samples()
-        doc["points"] = self.binned.points()
+        doc["bin_width"] = self.width
+        doc["samples"] = self.samples
+        # [[bin_start_s, last_value], ...] in time order.
+        doc["points"] = [[idx * self.width, self.bins[idx]]
+                         for idx in sorted(self.bins)]
         if self.kind == "gauge":
             doc["min"] = self.vmin
             doc["max"] = self.vmax
@@ -177,10 +152,12 @@ class _Signal:
 class SeriesRecorder:
     """Recording enabled: typed signals with per-run scoping.
 
-    ``finish_run(label)`` snapshots the signals recorded so far into a
-    per-run document and resets — :class:`repro.obs.Observability` calls
-    it when a ``run_scope`` exits, mirroring how metrics snapshots work.
+    ``finish_run(label)`` closes the signals recorded so far as one run
+    and resets — :class:`repro.obs.Observability` calls it when a
+    ``run_scope`` exits, mirroring how metrics snapshots work.
     ``summary()`` then emits the deterministic ``repro.series/1`` doc.
+    A closed run becomes a document only there, so its points are not
+    kept as live objects while the simulation runs.
     """
 
     enabled = True
@@ -190,6 +167,7 @@ class SeriesRecorder:
         self.bin_width = bin_width
         self.max_bins = max_bins
         self.runs: list[dict] = []
+        self._closed: list[tuple[str, dict[str, _Signal], dict | None]] = []
         self._signals: dict[str, _Signal] = {}
         # Mirror of TrafficMeter._pairs: same keys, same accumulation
         # order, same float operations — the basis of exact conservation.
@@ -209,9 +187,14 @@ class SeriesRecorder:
     def gauge(self, name: str, t: float, value: float,
               unit: str = "") -> None:
         """Sample a level signal at sim-time ``t``."""
-        sig = self._signal(name, "gauge", unit)
+        sig = self._signals.get(name) or self._signal(name, "gauge", unit)
         value = float(value)
-        sig.binned.add(t, value)
+        # _Signal.add, inlined: the kernel samples two gauges per event.
+        idx = int(t / sig.width)
+        if idx >= sig.max_bins:
+            idx = sig.coarsen(t)
+        sig.bins[idx] = value
+        sig.samples += 1
         if sig.vmin is None or value < sig.vmin:
             sig.vmin = value
         if sig.vmax is None or value > sig.vmax:
@@ -222,7 +205,7 @@ class SeriesRecorder:
         """Advance a cumulative progress curve by ``n`` at time ``t``."""
         sig = self._signal(name, "rate", unit)
         sig.total += n
-        sig.binned.add(t, sig.total)
+        sig.add(t, sig.total)
 
     def credit_net(self, tag: str, cause: str, t: float,
                    nbytes: float) -> None:
@@ -244,7 +227,7 @@ class SeriesRecorder:
             cum += pairs[(tag, c)]
         sig = self._signal(f"net.{tag}", "rate", "B")
         sig.total = cum
-        sig.binned.add(t, cum)
+        sig.add(t, cum)
 
     def distribution(self, name: str, t: float, cells: list,
                      unit: str = "chunks") -> None:
@@ -278,28 +261,39 @@ class SeriesRecorder:
                                             dict(meter.by_tag()))
 
     def finish_run(self, label: str) -> None:
-        """Snapshot the signals recorded so far as one run, then reset."""
-        self.runs.append(self._run_doc(label))
+        """Close the signals recorded so far as one run, then reset."""
+        self._closed.append((label, self._signals, self._conservation))
         self._signals = {}
         self._net_pairs = {}
         self._net_tag_causes = {}
         self._conservation = None
 
-    def _run_doc(self, label: str) -> dict:
+    @staticmethod
+    def _run_doc(label: str, signals: dict[str, _Signal],
+                 conservation: dict | None) -> dict:
         return {
             "label": label,
             "signals": {
-                name: self._signals[name].as_doc()
-                for name in sorted(self._signals)
+                name: signals[name].as_doc() for name in sorted(signals)
             },
-            "conservation": self._conservation,
+            "conservation": conservation,
         }
 
     def summary(self) -> dict:
-        """The deterministic ``repro.series/1`` document."""
+        """The deterministic ``repro.series/1`` document.
+
+        Runs closed since the last call become documents here, once;
+        later calls reuse them.
+        """
+        # Pop as we go: each run's bins are freed before the next run's
+        # document is built, which keeps peak memory down.
+        closed, self._closed = self._closed, []
+        while closed:
+            self.runs.append(self._run_doc(*closed.pop(0)))
         runs = list(self.runs)
         if self._signals:
-            runs.append(self._run_doc("(unscoped)"))
+            runs.append(self._run_doc("(unscoped)", self._signals,
+                                      self._conservation))
         return {"schema": SCHEMA, "enabled": True, "runs": runs}
 
 

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.lint import lint_paths, render_json, render_text
 from repro.lint.engine import module_name_for
 from repro.lint.pragmas import parse_pragmas
@@ -11,21 +13,26 @@ REPO = Path(__file__).parents[2]
 SRC = REPO / "src"
 
 
-def test_src_tree_is_clean_at_head():
-    result = lint_paths([str(SRC)])
-    assert result.findings == [], "\n" + render_text(result)
-    assert result.exit_code == 0
-    assert result.files_checked > 50
+@pytest.fixture(scope="session")
+def src_lint():
+    """One lint of ``src/``, shared by the tests that make that same call."""
+    return lint_paths([str(SRC)])
 
 
-def test_src_suppression_budget_is_small_and_fully_used():
-    result = lint_paths([str(SRC)])
-    assert len(result.suppressions) <= 5
-    assert all(s["used"] for s in result.suppressions)
+def test_src_tree_is_clean_at_head(src_lint):
+    assert src_lint.findings == [], "\n" + render_text(src_lint)
+    assert src_lint.exit_code == 0
+    assert src_lint.files_checked > 50
 
 
-def test_json_output_is_deterministic():
-    a = render_json(lint_paths([str(SRC)]))
+def test_src_suppression_budget_is_small_and_fully_used(src_lint):
+    assert len(src_lint.suppressions) <= 5
+    assert all(s["used"] for s in src_lint.suppressions)
+
+
+def test_json_output_is_deterministic(src_lint):
+    # The second lint is a fresh, independent run over the same tree.
+    a = render_json(src_lint)
     b = render_json(lint_paths([str(SRC)]))
     assert a == b
     payload = json.loads(a)

@@ -120,3 +120,19 @@ def test_bench_report_history_table(tmp_path, capsys):
 
 if __name__ == "__main__":
     sys.exit(pytest.main([__file__, "-q"]))
+
+
+def test_obs_overhead_is_reported_not_gated(trajectory, monkeypatch):
+    monkeypatch.setattr(trajectory, "OBS_ROUNDS", 1)
+    overhead = trajectory.obs_overhead()
+    assert overhead["name"] == "obs_overhead"
+    assert "events_per_s" not in overhead
+    assert set(overhead["channels"]) == set(trajectory.OBS_CHANNELS)
+    for channel in overhead["channels"].values():
+        assert channel["ratio"] == pytest.approx(
+            channel["wall_s"] / overhead["wall_s"], rel=1e-3)
+    # The events/sec gate reads the kernel scenarios only.
+    entry = _entry("abc", 1.0, 1000)
+    before = trajectory._aggregate_events_per_s(entry)
+    entry["scenarios"].append(overhead)
+    assert trajectory._aggregate_events_per_s(entry) == before
