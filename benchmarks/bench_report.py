@@ -1,6 +1,6 @@
 """Meta-benchmarks: the flight-recorder analyzer and report renderer.
 
-Companion to ``bench_simulator.py``: where that file times the simulator
+Companion to ``trajectory.py``: where that script times the simulator
 itself, this one times what happens *after* a run — ingesting a traced
 migration's event stream, deriving the attribution/phase/heatmap
 summary, and rendering the HTML report.  The trace is produced once per

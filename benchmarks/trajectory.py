@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """Benchmark trajectory harness: track simulator performance over time.
 
-Unlike the pytest-benchmark suites (``bench_simulator.py``,
-``bench_report.py``) this is a plain script with no test-framework
-dependency, so CI can run it directly and keep a machine-readable
-history.  Each invocation
+Unlike the pytest-benchmark suite ``bench_report.py`` this is a plain
+script with no test-framework dependency, so CI can run it directly and
+keep a machine-readable history.  Each invocation
 
 * runs a fixed set of simulator scenarios (event-loop ticker, fluid
   share churn, max-min recomputation, one end-to-end hybrid migration),

@@ -26,14 +26,9 @@ from repro.netsim.traffic import TrafficMeter
 from repro.obs.causal.record import annotate
 from repro.simkernel.core import Environment, Event
 from repro.simkernel.events import RearmableTimer
+from repro.simkernel.fluid import DONE_EPS, MIN_ETA
 
 __all__ = ["NetFlow", "Fabric"]
-
-# Bytes below which a flow counts as finished: far below any chunk, far
-# above float64 rounding on multi-GB transfers.
-_DONE_EPS = 1e-3
-# Minimum wakeup delta, so the clock always advances past float spacing.
-_MIN_ETA = 1e-9
 
 
 class NetFlow:
@@ -400,7 +395,7 @@ class Fabric:
                     # Shadow the meter credit value-for-value so the
                     # net.<tag> curve stays bit-identical to by_tag().
                     sr.credit_net(fl.tag, fl.cause, now, moved)
-                if fl.remaining <= _DONE_EPS:
+                if fl.remaining <= DONE_EPS:
                     fl.remaining = 0.0
                     finished.append(fl)
             if not finished:
@@ -549,7 +544,7 @@ class Fabric:
             # degraded to zero capacity): retry after a tick rather than
             # deadlock.
             eta = 1.0
-        self._timer.arm(max(eta, _MIN_ETA))
+        self._timer.arm(max(eta, MIN_ETA))
 
     def _on_wakeup(self) -> None:
         self._advance()

@@ -13,11 +13,9 @@ Public surface:
   :class:`~repro.simkernel.events.AnyOf`,
   :class:`~repro.simkernel.events.AllOf`,
   :class:`~repro.simkernel.events.Interrupt` — composition and preemption.
-* :class:`~repro.simkernel.resources.Resource`,
-  :class:`~repro.simkernel.resources.Store`,
-  :class:`~repro.simkernel.resources.Container` — queued contention points.
-* :class:`~repro.simkernel.fluid.FluidShare` — equal-share fluid resource
-  used for disks and single-constraint links.
+* :class:`~repro.simkernel.fluid.FluidShare` — weighted processor-sharing
+  fluid resource on a virtual clock, used for disks, page caches and
+  single-constraint links.
 """
 
 from repro.simkernel.core import (
@@ -32,12 +30,10 @@ from repro.simkernel.core import (
 )
 from repro.simkernel.events import AllOf, AnyOf, Interrupt, RearmableTimer, Timeout
 from repro.simkernel.fluid import FluidShare
-from repro.simkernel.resources import Container, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "FluidShare",
@@ -45,9 +41,7 @@ __all__ = [
     "KERNELS",
     "Process",
     "RearmableTimer",
-    "Resource",
     "StopSimulation",
-    "Store",
     "Timeout",
     "default_kernel",
     "kernel_scope",

@@ -1,53 +1,56 @@
-"""Equal-share fluid resource.
+"""Weighted processor-sharing fluid resource.
 
 Models a single capacity constraint (a disk, a single link) shared by a
 varying set of concurrent transfers: at any instant each of the ``k`` active
 jobs progresses at ``weight_i / sum(weights) * capacity`` bytes/second
-(processor sharing).  Whenever the job set changes, progress is integrated
-up to *now* and the next completion re-scheduled.
+(processor sharing).
 
 This is the standard fluid approximation used by flow-level network and
 storage simulators; it reproduces throughput/latency interference without
 simulating individual requests.
 
-The job state (remaining bytes, weights) is array-backed: integration and
-the next-completion scan are numpy element-wise operations over the active
-prefix instead of per-job Python arithmetic.  The element-wise expressions
-mirror the scalar formulas exactly (same operations, same order per
-element), so results are unchanged; ``tests/differential`` holds the whole
-simulator to byte-identical outputs across kernels on top of this.
+Under processor sharing every job's ``remaining / weight`` falls at the same
+rate, ``capacity / sum(weights)``, so the share keeps one *virtual clock*
+``V`` (service delivered per unit of weight) instead of per-job counters.
+A job admitted at ``V`` finishes when ``V`` reaches its finish tag
+``F = V + nbytes / weight``; its remaining bytes are ``(F - V) * weight``.
+Tags sit in a heap, so an arrival or a completion costs O(log n) and the
+next wakeup is read off the heap minimum.
+
+Numerics: ``sum(weights)`` is recomputed exactly (``math.fsum`` over the
+live weights) whenever the job set changes, since a running add/subtract
+total can cancel to 0 while a job is still live (``1e20 + 1.0 - 1e20 ==
+0.0``); and ``V`` restarts at 0 whenever the share empties, so it never
+grows beyond one busy period.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import heapq
+import math
 
 from repro.obs.causal.record import annotate
 from repro.simkernel.core import Environment, Event
 from repro.simkernel.events import RearmableTimer
 
-__all__ = ["FluidShare", "FluidJob"]
+__all__ = ["FluidShare", "FluidJob", "DONE_EPS", "MIN_ETA"]
 
-#: Bytes below which a job counts as finished.  Far below any chunk size,
-#: far above float64 rounding error on multi-GB transfers.
-_DONE_EPS = 1e-3
+#: Bytes below which a job (or a fabric flow) counts as finished.  Far
+#: below any chunk size, far above float64 rounding error on multi-GB
+#: transfers.
+DONE_EPS = 1e-3
 #: Minimum wakeup delta: guarantees the clock actually advances even when
 #: the analytic eta underflows float spacing at the current time.
-_MIN_ETA = 1e-9
+MIN_ETA = 1e-9
 
 
 class FluidJob:
-    """One in-flight transfer through a :class:`FluidShare`.
+    """One in-flight transfer through a :class:`FluidShare`."""
 
-    The authoritative remaining-byte counter lives in the share's arrays;
-    :attr:`remaining` is set at admission and zeroed at completion.
-    """
-
-    __slots__ = ("nbytes", "remaining", "weight", "done", "started_at")
+    __slots__ = ("nbytes", "weight", "done", "started_at")
 
     def __init__(self, env: Environment, nbytes: float, weight: float) -> None:
         self.nbytes = float(nbytes)
-        self.remaining = float(nbytes)
         self.weight = float(weight)
         self.done = Event(env)
         self.started_at = env.now
@@ -62,11 +65,15 @@ class FluidShare:
         self.env = env
         self.capacity = float(capacity)
         self.name = name
-        #: Active jobs, aligned with the first ``_n`` entries of the arrays.
-        self._jobs: list[FluidJob] = []
-        self._remaining = np.zeros(8)
-        self._weights = np.zeros(8)
-        self._n = 0
+        #: ``(finish tag, admission seq, job)`` per active job; the seq
+        #: breaks tag ties in admission order.
+        self._heap: list[tuple[float, int, FluidJob]] = []
+        #: Live weights by admission seq, summed exactly into ``_total_w``.
+        self._weights: dict[int, float] = {}
+        self._total_w = 0.0
+        self._seq = 0
+        #: Virtual clock: service per unit of weight in this busy period.
+        self._vtime = 0.0
         self._last_update = env.now
         self._timer = RearmableTimer(env, self._on_wakeup)
         #: Total bytes ever completed through this resource.
@@ -74,22 +81,9 @@ class FluidShare:
 
     # -- public ------------------------------------------------------------
     @property
-    def active_jobs(self) -> int:
-        return self._n
-
-    @property
     def utilization(self) -> float:
         """1.0 while any job is active, else 0.0 (fluid model is work-conserving)."""
-        return 1.0 if self._n else 0.0
-
-    def rate_of(self, job: FluidJob) -> float:
-        """Current instantaneous rate of ``job`` in bytes/second."""
-        if job not in self._jobs:
-            return 0.0
-        total_w = float(np.add.reduce(self._weights[: self._n]))
-        if total_w <= 0:
-            return 0.0
-        return self.capacity * job.weight / total_w
+        return 1.0 if self._heap else 0.0
 
     def transfer(self, nbytes: float, weight: float = 1.0) -> Event:
         """Start a transfer of ``nbytes``; returns its completion event."""
@@ -103,7 +97,11 @@ class FluidShare:
             return job.done
         annotate(self.env, job.done, "fluid", name=self.name)
         self._advance()
-        self._admit(job)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (self._vtime + job.nbytes / job.weight, seq, job))
+        self._weights[seq] = job.weight
+        self._total_w = math.fsum(self._weights.values())
         self._reschedule()
         return job.done
 
@@ -116,99 +114,46 @@ class FluidShare:
         self._reschedule()
 
     # -- internals -----------------------------------------------------------
-    def _admit(self, job: FluidJob) -> None:
-        n = self._n
-        if n == self._remaining.shape[0]:
-            self._remaining = np.resize(self._remaining, 2 * n)
-            self._weights = np.resize(self._weights, 2 * n)
-        self._remaining[n] = job.remaining
-        self._weights[n] = job.weight
-        self._jobs.append(job)
-        self._n = n + 1
-
     def _advance(self) -> None:
-        """Integrate all jobs' progress from the last update to now."""
+        """Move the virtual clock to now and complete every job it passed."""
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
-        n = self._n
-        if dt <= 0 or n == 0:
+        heap = self._heap
+        if dt <= 0 or not heap:
             return
         prof = self.env.profiler
         if prof.enabled:
             prof.enter("fluid.advance")
             prof.count("fluid.advances")
-            prof.count("fluid.jobs_touched", n)
         try:
-            moved = self.capacity * dt
-            if n == 1:
-                # Scalar fast path: the same operations the array
-                # expression below performs at n == 1 (so results are
-                # bit-identical), without per-call numpy overhead — a
-                # lone job is the common case for disk shares.
-                w = float(self._weights[0])
-                r = float(self._remaining[0]) - (moved * w) / w
-                if r <= _DONE_EPS:
-                    job = self._jobs[0]
-                    self._jobs = []
-                    self._n = 0
-                    job.remaining = 0.0
-                    self.total_bytes += job.nbytes
-                    job.done.succeed(self.env.now - job.started_at)
-                else:
-                    self._remaining[0] = r
+            vtime = self._vtime + self.capacity * dt / self._total_w
+            finished: list[tuple[float, int, FluidJob]] = []
+            while heap and (heap[0][0] - vtime) * heap[0][2].weight <= DONE_EPS:
+                finished.append(heapq.heappop(heap))
+            self._vtime = vtime if heap else 0.0
+            if not finished:
                 return
-            weights = self._weights[:n]
-            remaining = self._remaining[:n]
-            total_w = float(np.add.reduce(weights))
-            # Element-wise identical to the scalar
-            # ``remaining -= moved * weight / total_w`` per job.
-            remaining -= moved * weights / total_w
-            done_mask = remaining <= _DONE_EPS
-            if done_mask.any():
-                finished_idx = np.flatnonzero(done_mask)
-                finished = [self._jobs[i] for i in finished_idx]
-                keep = ~done_mask
-                kept = n - finished_idx.size
-                # Fancy indexing copies before the overlapping writeback.
-                self._remaining[:kept] = remaining[keep]
-                self._weights[:kept] = weights[keep]
-                self._jobs = [self._jobs[i] for i in np.flatnonzero(keep)]
-                self._n = kept
-                for job in finished:
-                    job.remaining = 0.0
-                    self.total_bytes += job.nbytes
-                    job.done.succeed(self.env.now - job.started_at)
+            if prof.enabled:
+                prof.count("fluid.jobs_touched", len(finished))
+            # Jobs finishing at the same instant complete in admission order.
+            finished.sort(key=lambda entry: entry[1])
+            for _tag, seq, job in finished:
+                del self._weights[seq]
+                self.total_bytes += job.nbytes
+                job.done.succeed(now - job.started_at)
+            self._total_w = math.fsum(self._weights.values())
         finally:
             if prof.enabled:
                 prof.exit()
 
     def _reschedule(self) -> None:
-        """Re-aim the wakeup at the earliest next completion time."""
-        n = self._n
-        if n == 0:
+        """Re-aim the wakeup at the earliest finish tag."""
+        if not self._heap:
             self._timer.cancel()
             return
-        prof = self.env.profiler
-        if prof.enabled:
-            prof.enter("fluid.reschedule")
-        try:
-            if n == 1:
-                w = float(self._weights[0])
-                eta = float(self._remaining[0]) / ((self.capacity * w) / w)
-                self._timer.arm(max(eta, _MIN_ETA))
-                return
-            weights = self._weights[:n]
-            total_w = float(np.add.reduce(weights))
-            # Per unit of weight, all jobs progress at the same normalized
-            # speed, so the first to finish is the one with min
-            # remaining/rate; element-wise identical to the scalar
-            # ``remaining / (capacity * weight / total_w)`` per job.
-            etas = self._remaining[:n] / (self.capacity * weights / total_w)
-            self._timer.arm(max(float(etas.min()), _MIN_ETA))
-        finally:
-            if prof.enabled:
-                prof.exit()
+        eta = (self._heap[0][0] - self._vtime) * self._total_w / self.capacity
+        self._timer.arm(max(eta, MIN_ETA))
 
     def _on_wakeup(self) -> None:
         self._advance()
@@ -217,5 +162,5 @@ class FluidShare:
     def __repr__(self) -> str:
         return (
             f"<FluidShare {self.name or hex(id(self))} cap={self.capacity:.0f}B/s "
-            f"jobs={self._n}>"
+            f"jobs={len(self._heap)}>"
         )
