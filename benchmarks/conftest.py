@@ -2,7 +2,9 @@
 
 Each ``bench_*`` module regenerates one table/figure of the paper: it runs
 the corresponding experiment under ``pytest-benchmark`` timing, prints the
-paper-style rows, and writes them to ``benchmarks/results/``.
+paper-style rows, and writes them to ``benchmarks/results/`` (untracked
+output; the committed full-scale numbers live in
+``benchmarks/results_full/``).
 
 Scale control: the environment variable ``REPRO_FULL=1`` runs the paper's
 full parameters (30 concurrent sources, 1..30 sweep, 4x4 CM1 grid with the

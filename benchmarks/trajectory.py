@@ -304,10 +304,14 @@ def obs_overhead() -> dict:
     }
 
 
-def _git_head() -> str | None:
+def _git_head(root: pathlib.Path = REPO_ROOT) -> str | None:
+    """Short hash of HEAD, suffixed ``-dirty`` when tracked files differ
+    from it, so an entry measured on an uncommitted tree is told apart
+    from one measured on its parent commit."""
     try:
         out = subprocess.run(
-            ["git", "-C", str(REPO_ROOT), "rev-parse", "--short", "HEAD"],
+            ["git", "-C", str(root), "describe", "--always", "--dirty",
+             "--exclude=*"],
             capture_output=True, text=True, timeout=10,
         )
         return out.stdout.strip() or None

@@ -62,11 +62,12 @@ def main() -> None:
     run_label, snapshot = next(iter(obs.runs.items()))
     counters = snapshot["counters"]
     print(f"metrics for run {run_label!r}:")
-    for key in ("push.chunks", "push.hot_skipped", "pull.prefetch.chunks",
-                "adopt.chunks", "migration.memory.rounds"):
+    for key in ("push.batch.chunks", "push.hot_exclusion.chunks",
+                "prefetch.batch.chunks", "adopt.chunks",
+                "migration.memory_rounds"):
         if key in counters:
             print(f"  {key:24s} {counters[key]:,.0f}")
-    downtime = snapshot["histograms"].get("migration.downtime")
+    downtime = snapshot["histograms"].get("downtime")
     if downtime:
         print(f"  {'downtime (ms)':24s} {downtime['mean'] * 1000:,.1f}")
     print()

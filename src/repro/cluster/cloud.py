@@ -253,14 +253,11 @@ class CloudMiddleware:
                     # The destination is (still) down; a fresh attempt
                     # would abort again without moving a byte.
                     continue
-                tr = self.env.tracer
-                if tr.enabled:
-                    tr.instant("migration.restart", cat="migration",
+                pb = self.env.probe
+                if pb.enabled:
+                    pb.instant("migration.restart", cat="migration",
                                tid=f"migration:{vm.name}",
                                args={"attempt": n + 1})
-                mx = self.env.metrics
-                if mx.enabled:
-                    mx.counter("migration.restarts").inc()
                 record = yield one_attempt()
             return record
 

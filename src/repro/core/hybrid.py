@@ -171,16 +171,15 @@ class HybridManager(MigrationManager):
         self._push_queue = ChunkQueue(np.flatnonzero(
             self.remaining & (self.chunks.write_count < self.config.threshold)
         ))
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("push.start", cat="storage",
+        pb = self.env.probe
+        if pb.enabled:
+            remaining = int(self.remaining.sum())
+            pb.instant("push.start", cat="storage",
                        tid=f"push:{self.vm.name}",
-                       args={"remaining_chunks": int(self.remaining.sum()),
+                       args={"remaining_chunks": remaining,
                              "threshold": self.config.threshold})
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"push.remaining:{self.vm.name}", self.env.now,
-                     int(self.remaining.sum()), unit="chunks")
+            pb.gauge(f"push.remaining:{self.vm.name}", self.env.now,
+                     remaining, unit="chunks")
         # MIGRATION_NOTIFICATION to the destination.
         yield self.fabric.message(self.host, peer.host, tag="control",
                                   cause="control")
@@ -269,23 +268,17 @@ class HybridManager(MigrationManager):
             peer.vdisk.disk.touch(batch)
             peer._fate[batch] = _FATE_PUSHED
             self.stats["pushed_chunks"] += int(batch.size)
-            sr = self.env.series
-            if sr.enabled:
-                sr.gauge(f"push.remaining:{self.vm.name}", self.env.now,
+            pb = self.env.probe
+            if pb.enabled:
+                now = self.env.now
+                pb.gauge(f"push.remaining:{self.vm.name}", now,
                          int(self.remaining.sum()), unit="chunks")
-                sr.inc(f"progress.pushed:{self.vm.name}", self.env.now,
+                pb.inc(f"progress.pushed:{self.vm.name}", now,
                        int(batch.size), unit="chunks")
-            tr = self.env.tracer
-            if tr.enabled:
-                tr.complete("push.batch", t0, self.env.now, cat="storage",
+                pb.complete("push.batch", t0, now, cat="storage",
                             tid=f"push:{self.vm.name}",
                             args={"chunks": int(batch.size),
                                   "wire_bytes": wire})
-            mx = self.env.metrics
-            if mx.enabled:
-                mx.counter("push.chunks").inc(int(batch.size))
-                mx.counter("push.batches").inc()
-                mx.counter("push.bytes.wire").inc(wire)
 
     def _notify_push(self) -> None:
         if self._push_wakeup is not None and not self._push_wakeup.triggered:
@@ -304,19 +297,16 @@ class HybridManager(MigrationManager):
                 # Re-queue the still-cold chunks; hot ones are excluded
                 # for good (write counts never decrease mid-migration).
                 self._push_queue.push(span if n_hot == 0 else span[~hot])
-            if n_hot:
-                tr = self.env.tracer
-                if tr.enabled:
-                    tr.instant("push.hot_exclusion", cat="storage",
-                               tid=f"push:{self.vm.name}",
-                               args={"chunks": n_hot})
-                self.env.metrics.counter("push.hot_skipped").inc(n_hot)
-            sr = self.env.series
-            if sr.enabled:
-                sr.gauge(f"push.remaining:{self.vm.name}", self.env.now,
+            pb = self.env.probe
+            if pb.enabled:
+                now = self.env.now
+                pb.gauge(f"push.remaining:{self.vm.name}", now,
                          int(self.remaining.sum()), unit="chunks")
                 if n_hot:
-                    sr.inc(f"push.hot_excluded:{self.vm.name}", self.env.now,
+                    pb.instant("push.hot_exclusion", cat="storage",
+                               tid=f"push:{self.vm.name}",
+                               args={"chunks": n_hot})
+                    pb.inc(f"push.hot_excluded:{self.vm.name}", now,
                            n_hot, unit="chunks")
             self._notify_push()
         if self.is_destination:
@@ -333,22 +323,21 @@ class HybridManager(MigrationManager):
         """Stop the push engine.  Writes may still be draining, so the
         remaining set is NOT snapshotted yet — ``_count_writes`` stays on
         and late writes keep re-queueing themselves (Algorithm 2)."""
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("push.stop", cat="storage", tid=f"push:{self.vm.name}",
-                       args={"remaining_chunks": int(self.remaining.sum())})
-        sr = self.env.series
-        if sr.enabled:
+        pb = self.env.probe
+        if pb.enabled:
             now = self.env.now
-            sr.gauge(f"push.remaining:{self.vm.name}", now,
-                     int(self.remaining.sum()), unit="chunks")
+            remaining = int(self.remaining.sum())
+            pb.instant("push.stop", cat="storage", tid=f"push:{self.vm.name}",
+                       args={"remaining_chunks": remaining})
+            pb.gauge(f"push.remaining:{self.vm.name}", now, remaining,
+                     unit="chunks")
             # Write-count histogram over the still-remaining set: the
             # distribution Threshold reasons about, at the sync point.
             wc = np.minimum(
                 self.chunks.write_count[self.remaining], _WC_CAP
             )
             counts = np.bincount(wc, minlength=_WC_CAP + 1)
-            sr.distribution(
+            pb.distribution(
                 f"dist.write_count:{self.vm.name}", now,
                 [[w, "remaining", int(n)]
                  for w, n in enumerate(counts) if n],
@@ -363,14 +352,12 @@ class HybridManager(MigrationManager):
         now-final remaining chunk list and write counts (Algorithm 3)."""
         self._count_writes = False
         remaining_ids = np.flatnonzero(self.remaining)
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("transfer_io_control", cat="storage",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant("transfer_io_control", cat="storage",
                        tid=f"push:{self.vm.name}",
                        args={"remaining_chunks": int(remaining_ids.size)})
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"push.remaining:{self.vm.name}", self.env.now,
+            pb.gauge(f"push.remaining:{self.vm.name}", self.env.now,
                      int(remaining_ids.size), unit="chunks")
         # The chunk list + write counts travel as a control message
         # (8 bytes of id + 8 of count per entry).
@@ -453,16 +440,11 @@ class HybridManager(MigrationManager):
         self._pull_pos = 0
 
     def _note_queue_depth(self, depth: int) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.counter(f"prefetch.queue_depth:{self.vm.name}",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.counter(f"prefetch.queue_depth:{self.vm.name}",
                        {"chunks": depth})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.gauge("prefetch.queue_depth").set(depth)
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"pull.pending:{self.vm.name}", self.env.now, depth,
+            pb.gauge(f"pull.pending:{self.vm.name}", self.env.now, depth,
                      unit="chunks")
 
     def _start_pull(self) -> None:
@@ -524,22 +506,17 @@ class HybridManager(MigrationManager):
                 # on-demand reads surface the failure loudly.
                 return
             self.stats["pulled_chunks"] += int(batch.size)
-            sr = self.env.series
-            if sr.enabled:
-                sr.inc(f"progress.prefetched:{self.vm.name}", self.env.now,
+            pb = self.env.probe
+            if pb.enabled:
+                now = self.env.now
+                pb.inc(f"progress.prefetched:{self.vm.name}", now,
                        int(batch.size), unit="chunks")
-            tr = self.env.tracer
-            if tr.enabled:
-                tr.complete("prefetch.batch", t0, self.env.now, cat="storage",
+                pb.complete("prefetch.batch", t0, now, cat="storage",
                             tid=f"pull:{self.vm.name}",
                             args={"chunks": int(batch.size),
                                   "max_write_count": int(
                                       self._pull_order_wc[batch].max()
                                   )})
-            mx = self.env.metrics
-            if mx.enabled:
-                mx.counter("pull.prefetch.chunks").inc(int(batch.size))
-                mx.counter("pull.prefetch.batches").inc()
             self._note_queue_depth(int(self.pull_pending.sum()))
         yield from self._finish_migration()
 
@@ -610,14 +587,11 @@ class HybridManager(MigrationManager):
     def _pull_failed(self, batch: np.ndarray, arrival: Event) -> None:
         """Bookkeeping for a stalled pull: re-mark the batch pending
         (except chunks overwritten locally) and release waiting reads."""
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("pull.stalled", cat="faults",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant("pull.stalled", cat="faults",
                        tid=f"pull:{self.vm.name}",
                        args={"chunks": int(batch.size)})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("pull.stalled.chunks").inc(int(batch.size))
         self.pull_pending[batch] = ~self._pull_cancelled[batch]
         # The cursor already passed these ids; rebuild the order so the
         # re-marked chunks are prefetched again (rare fault path).
@@ -628,11 +602,13 @@ class HybridManager(MigrationManager):
 
     def _cancel_pulls(self, span: np.ndarray) -> None:
         """Algorithm 2, destination part: a write kills the chunk's pull."""
-        mx = self.env.metrics
-        if mx.enabled:
+        pb = self.env.probe
+        if pb.enabled:
             killed = int(self.pull_pending[span].sum())
             if killed:
-                mx.counter("pull.cancelled.chunks").inc(killed)
+                pb.instant("pull.cancelled", cat="storage",
+                           tid=f"pull:{self.vm.name}",
+                           args={"chunks": killed}, full=True)
         self._fate[span[self.pull_pending[span]]] = _FATE_CANCELLED
         self.pull_pending[span] = False
         self._pull_cancelled[span] = True
@@ -668,22 +644,15 @@ class HybridManager(MigrationManager):
                         "stalled: source unreachable after control transfer"
                     )
                 self.stats["ondemand_chunks"] += int(needed.size)
-                sr = self.env.series
-                if sr.enabled:
-                    sr.inc(f"progress.ondemand:{self.vm.name}", self.env.now,
+                pb = self.env.probe
+                if pb.enabled:
+                    now = self.env.now
+                    pb.inc(f"progress.ondemand:{self.vm.name}", now,
                            int(needed.size), unit="chunks")
-                tr = self.env.tracer
-                if tr.enabled:
                     # Overlapping guest reads overlap their pulls: async lane.
-                    tr.async_span("pull.demand", t0, self.env.now,
+                    pb.async_span("pull.demand", t0, now,
                                   cat="storage", tid=f"pull:{self.vm.name}",
                                   args={"chunks": int(needed.size)})
-                mx = self.env.metrics
-                if mx.enabled:
-                    mx.counter("pull.demand.chunks").inc(int(needed.size))
-                    mx.histogram("pull.demand.latency").observe(
-                        self.env.now - t0
-                    )
             finally:
                 self._ondemand_depth -= 1
                 if self._ondemand_depth == 0:
@@ -715,22 +684,20 @@ class HybridManager(MigrationManager):
         """All chunks local: notify the source it can be relinquished."""
         src = self.peer
         assert src is not None
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("pull.drained", cat="storage",
+        pb = self.env.probe
+        if pb.enabled:
+            now = self.env.now
+            cells = self._chunk_fate_cells(src)
+            pb.instant("pull.drained", cat="storage",
                        tid=f"pull:{self.vm.name}")
-            tr.instant("chunks.fate", cat="storage",
+            pb.instant("chunks.fate", cat="storage",
                        tid=f"pull:{self.vm.name}",
                        args={"vm": self.vm.name,
                              "threshold": self.config.threshold,
                              "wc_cap": _WC_CAP,
-                             "cells": self._chunk_fate_cells(src)})
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"pull.pending:{self.vm.name}", self.env.now, 0,
-                     unit="chunks")
-            sr.distribution(f"dist.chunk_fate:{self.vm.name}", self.env.now,
-                            self._chunk_fate_cells(src))
+                             "cells": cells})
+            pb.gauge(f"pull.pending:{self.vm.name}", now, 0, unit="chunks")
+            pb.distribution(f"dist.chunk_fate:{self.vm.name}", now, cells)
         # Best effort: if the source is unreachable the data is all here
         # anyway; release locally so the migration record completes.
         yield from self._message_attempts(

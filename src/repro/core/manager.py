@@ -154,35 +154,26 @@ class MigrationManager:
         if proc is None or not proc.is_alive:
             return False
         self._abortable = False
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("migration.abort_requested", cat="migration",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant("migration.abort_requested", cat="migration",
                        tid=f"migration:{self.vm.name}", args={"cause": cause})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("migration.aborts.requested").inc()
         proc.interrupt(cause)
         return True
 
     def _emit_retry(self, label: str, attempt: int, delay: float) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("transfer.retry", cat="faults",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant("transfer.retry", cat="faults",
                        tid=f"faults:{self.vm.name}",
                        args={"label": label, "attempt": attempt,
                              "backoff": delay})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("transfer.retries").inc()
 
     def _emit_timeout(self, kind: str, label: str, attempt: int) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant(kind, cat="faults", tid=f"faults:{self.vm.name}",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant(kind, cat="faults", tid=f"faults:{self.vm.name}",
                        args={"label": label, "attempt": attempt})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("transfer.timeouts").inc()
 
     def _transfer_attempts(self, make_events, label: str) -> Generator:
         """Run a pipelined transfer batch under the per-batch timeout.
@@ -286,12 +277,16 @@ class MigrationManager:
                         ev = self.repo.fetch(chunk_ids, self.host, tag=tag,
                                              cause="repo.fetch")
             except RepositoryUnavailable:
-                mx = self.env.metrics
-                if mx.enabled:
-                    mx.counter("repo.fetch.unavailable").inc()
-                if attempt >= cfg.retry_max:
-                    if mx.enabled:
-                        mx.counter("repo.fetch.gaveup").inc()
+                gaveup = attempt >= cfg.retry_max
+                pb = self.env.probe
+                if pb.enabled:
+                    pb.instant("repo.fetch.unavailable", cat="faults",
+                               tid=f"faults:{self.vm.name}",
+                               args={"attempt": attempt}, full=True)
+                    if gaveup:
+                        pb.instant("repo.fetch.gaveup", cat="faults",
+                                   tid=f"faults:{self.vm.name}", full=True)
+                if gaveup:
                     raise
                 self._emit_retry(tag, attempt, delay)
                 yield annotate(self.env, self.env.timeout(delay),
@@ -312,9 +307,11 @@ class MigrationManager:
             # Copy-on-reference: base-image chunks come from the repository
             # and land in the host page cache (write-back persists them to
             # the local disk asynchronously).
-            mx = self.env.metrics
-            if mx.enabled:
-                mx.counter("cor.fetch.chunks").inc(int(missing.size))
+            pb = self.env.probe
+            if pb.enabled:
+                pb.instant("cor.fetch", cat="storage",
+                           tid=f"io:{self.vm.name}",
+                           args={"chunks": int(missing.size)}, full=True)
             yield from self._repo_fetch(missing)
             self.chunks.record_fetch(missing)
             self.vdisk.disk.touch(missing)
@@ -338,11 +335,11 @@ class MigrationManager:
         self.chunks.version[span] = versions
         self.vdisk.disk.touch(span)
         self.vm.note_write(nbytes)
-        sr = self.env.series
-        if sr.enabled:
+        pb = self.env.probe
+        if pb.enabled:
             # One probe covers every engine: the guest write rate the
             # dirty-rate overlay in the flight report compares against.
-            sr.inc(f"writes.chunks:{self.vm.name}", self.env.now,
+            pb.inc(f"writes.chunks:{self.vm.name}", self.env.now,
                    int(span.size), unit="chunks")
         yield from self._after_write(span, nbytes)
 
@@ -450,12 +447,12 @@ class MigrationManager:
         chunk_ids = np.asarray(chunk_ids, dtype=np.intp)
         newer = versions > self.chunks.version[chunk_ids]
         take = chunk_ids[newer]
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("adopt.chunks").inc(int(take.size))
-            mx.counter("adopt.stale.chunks").inc(
-                int(chunk_ids.size - take.size)
-            )
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant("adopt", cat="storage", tid=f"io:{self.vm.name}",
+                       args={"chunks": int(take.size),
+                             "stale_chunks": int(chunk_ids.size - take.size)},
+                       full=True)
         if take.size:
             self.chunks.adopt_versions(take, versions[newer])
             # Adopted content with a non-zero version diverges from the

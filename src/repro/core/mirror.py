@@ -85,27 +85,23 @@ class MirrorManager(MigrationManager):
             peer.receive_chunks(batch, versions)
             peer.vdisk.disk.touch(batch)
             self.stats["bulk_chunks"] += int(batch.size)
-            sr = self.env.series
-            if sr.enabled:
-                sr.inc(f"progress.bulk:{self.vm.name}", self.env.now,
+            pb = self.env.probe
+            if pb.enabled:
+                now = self.env.now
+                pb.inc(f"progress.bulk:{self.vm.name}", now,
                        int(batch.size), unit="chunks")
-            tr = self.env.tracer
-            if tr.enabled:
-                tr.complete("mirror.bulk.batch", t0, self.env.now,
+                pb.complete("mirror.bulk.batch", t0, now,
                             cat="storage", tid=f"mirror:{self.vm.name}",
                             args={"chunks": int(batch.size)})
-            mx = self.env.metrics
-            if mx.enabled:
-                mx.counter("mirror.bulk.chunks").inc(int(batch.size))
 
     def _after_write(self, span: np.ndarray, nbytes: int) -> Generator:
         """Mirror the write; the guest blocks until the destination ack."""
         if not (self.is_source and self._mirroring):
             return
         self._outstanding += 1
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"mirror.outstanding:{self.vm.name}", self.env.now,
+        pb = self.env.probe
+        if pb.enabled:
+            pb.gauge(f"mirror.outstanding:{self.vm.name}", self.env.now,
                      self._outstanding, unit="writes")
         peer = self.peer
         try:
@@ -136,17 +132,16 @@ class MirrorManager(MigrationManager):
                 peer.receive_chunks(span, versions)
                 peer.vdisk.disk.touch(span)
                 self.stats["mirrored_writes"] += 1
-                if sr.enabled:
-                    sr.inc(f"progress.mirrored:{self.vm.name}", self.env.now,
+                if pb.enabled:
+                    pb.inc(f"progress.mirrored:{self.vm.name}", self.env.now,
                            1, unit="writes")
-                mx = self.env.metrics
-                if mx.enabled:
-                    mx.counter("mirror.writes").inc()
-                    mx.counter("mirror.write.bytes").inc(float(nbytes))
+                    pb.instant("mirror.write", cat="storage",
+                               tid=f"mirror:{self.vm.name}",
+                               args={"bytes": float(nbytes)}, full=True)
         finally:
             self._outstanding -= 1
-            if sr.enabled:
-                sr.gauge(f"mirror.outstanding:{self.vm.name}", self.env.now,
+            if pb.enabled:
+                pb.gauge(f"mirror.outstanding:{self.vm.name}", self.env.now,
                          self._outstanding, unit="writes")
             if self._outstanding == 0 and self._drained is not None:
                 if not self._drained.triggered:

@@ -73,9 +73,9 @@ class PrecopyManager(MigrationManager):
         if self.config.precopy_flatten:
             self.dirty |= self.vdisk.base_allocated_mask()
         self._request_at = self.env.now
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"precopy.dirty:{self.vm.name}", self.env.now,
+        pb = self.env.probe
+        if pb.enabled:
+            pb.gauge(f"precopy.dirty:{self.vm.name}", self.env.now,
                      int(self.dirty.sum()), unit="chunks")
         yield self.fabric.message(self.host, peer.host, tag="control",
                                   cause="control")
@@ -154,26 +154,20 @@ class PrecopyManager(MigrationManager):
             self.stats["sent_chunks"] += int(batch.size)
             self.stats["resent_chunks"] += int(resent.sum())
             self._sent_once[batch] = True
-            sr = self.env.series
-            if sr.enabled:
+            pb = self.env.probe
+            if pb.enabled:
                 now = self.env.now
-                sr.gauge(f"precopy.dirty:{self.vm.name}", now,
+                pb.gauge(f"precopy.dirty:{self.vm.name}", now,
                          int(self.dirty.sum()), unit="chunks")
-                sr.inc(f"progress.sent:{self.vm.name}", now,
+                pb.inc(f"progress.sent:{self.vm.name}", now,
                        int(batch.size), unit="chunks")
                 if resent.any():
-                    sr.inc(f"progress.resent:{self.vm.name}", now,
+                    pb.inc(f"progress.resent:{self.vm.name}", now,
                            int(resent.sum()), unit="chunks")
-            tr = self.env.tracer
-            if tr.enabled:
-                tr.complete("precopy.batch", t0, self.env.now, cat="storage",
+                pb.complete("precopy.batch", t0, now, cat="storage",
                             tid=f"blkmig:{self.vm.name}",
                             args={"chunks": int(batch.size),
                                   "resent": int(resent.sum())})
-            mx = self.env.metrics
-            if mx.enabled:
-                mx.counter("precopy.sent.chunks").inc(int(batch.size))
-                mx.counter("precopy.resent.chunks").inc(int(resent.sum()))
 
     def _notify_sync(self) -> None:
         if self._sync_wakeup is not None and not self._sync_wakeup.triggered:
@@ -185,9 +179,9 @@ class PrecopyManager(MigrationManager):
         # draining during the stop-and-copy are flushed by on_downtime.
         if self.is_source and self._sync_proc is not None:
             self.dirty[span] = True
-            sr = self.env.series
-            if sr.enabled:
-                sr.gauge(f"precopy.dirty:{self.vm.name}", self.env.now,
+            pb = self.env.probe
+            if pb.enabled:
+                pb.gauge(f"precopy.dirty:{self.vm.name}", self.env.now,
                          int(self.dirty.sum()), unit="chunks")
             self._notify_sync()
         return
@@ -258,17 +252,12 @@ class PrecopyManager(MigrationManager):
         self.peer.receive_chunks(ids, versions)
         self.peer.vdisk.disk.touch(ids)
         self.stats["final_chunks"] += int(ids.size)
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"precopy.dirty:{self.vm.name}", self.env.now, 0,
-                     unit="chunks")
-            sr.inc(f"progress.final:{self.vm.name}", self.env.now,
+        pb = self.env.probe
+        if pb.enabled:
+            now = self.env.now
+            pb.gauge(f"precopy.dirty:{self.vm.name}", now, 0, unit="chunks")
+            pb.inc(f"progress.final:{self.vm.name}", now,
                    int(ids.size), unit="chunks")
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.complete("precopy.final_flush", t0, self.env.now,
+            pb.complete("precopy.final_flush", t0, now,
                         cat="storage", tid=f"blkmig:{self.vm.name}",
                         args={"chunks": int(ids.size)})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("precopy.final.chunks").inc(int(ids.size))

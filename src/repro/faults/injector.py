@@ -91,9 +91,9 @@ class FaultInjector:
         self._clear(spec)
 
     def _emit(self, name: str, spec: FaultSpec) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant(
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant(
                 name,
                 cat="faults",
                 tid=f"faults:{spec.target}",
@@ -103,13 +103,8 @@ class FaultInjector:
                     "severity": spec.severity,
                     "duration": spec.duration,
                 },
+                per=spec.kind,
             )
-        mx = self.env.metrics
-        if mx.enabled:
-            if name == "fault.inject":
-                mx.counter(f"faults.injected.{spec.kind}").inc()
-            else:
-                mx.counter(f"faults.cleared.{spec.kind}").inc()
 
     def _apply(self, spec: FaultSpec) -> None:
         topo = self.cluster.topology

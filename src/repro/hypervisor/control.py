@@ -171,28 +171,23 @@ class LiveMigration:
             watchdog.interrupt("migration left the pre-control phase")
 
     def _trace_record(self, record: MigrationRecord, stats: MemoryStats) -> None:
-        """Mirror the finished record into the tracer/metrics registry."""
-        env = self.env
-        tr = env.tracer
-        if tr.enabled:
+        """Mirror the finished record into the probe."""
+        pb = self.env.probe
+        if pb.enabled:
             tid = f"migration:{record.vm}"
             for name, start, end in record.phases:
-                tr.complete(name, start, end, cat="migration", tid=tid)
+                pb.complete(name, start, end, cat="migration", tid=tid)
             if record.aborted:
-                tr.instant("migration.aborted", cat="migration", tid=tid,
+                pb.instant("migration.aborted", cat="migration", tid=tid,
                            args={"cause": record.abort_cause})
-            elif record.control_at is not None:
-                tr.instant("control-transfer", cat="migration", tid=tid,
-                           args={"downtime": record.downtime})
-        mx = env.metrics
-        if mx.enabled:
-            if record.aborted:
-                mx.counter("migration.aborted").inc()
                 return
-            mx.counter("migration.completed").inc()
-            mx.counter("migration.memory.rounds").inc(stats.rounds)
-            mx.counter("migration.memory.bytes").inc(stats.bytes_sent)
-            if record.downtime is not None:
-                mx.histogram("migration.downtime").observe(record.downtime)
-            if record.migration_time is not None:
-                mx.histogram("migration.time").observe(record.migration_time)
+            if record.control_at is not None:
+                pb.instant("control-transfer", cat="migration", tid=tid,
+                           args={"downtime": record.downtime})
+            if record.released_at is not None:
+                # The whole migration, request to source release.
+                pb.complete("migration", record.requested_at,
+                            record.released_at, cat="migration", tid=tid,
+                            args={"memory_rounds": stats.rounds,
+                                  "memory_bytes": stats.bytes_sent},
+                            full=True)

@@ -109,26 +109,24 @@ class PrecopyMemory:
             wire = remaining if stats.rounds == 1 else remaining / self.delta_ratio
             t0 = env.now
             yield fabric.transfer(src, dst, wire, tag="memory", cause="memory")
-            tr = env.tracer
-            if tr.enabled:
-                tr.complete("memory.round", t0, env.now, cat="memory",
-                            tid=f"migration:{vm.name}",
-                            args={"round": stats.rounds, "bytes": wire})
             dur = env.now - t0
             stats.bytes_sent += wire
             stats.round_durations.append(dur)
             if dur > 0:
                 rate = remaining / dur
             remaining = min(vm.dirty_rate * dur, vm.working_set)
-            sr = env.series
-            if sr.enabled:
+            pb = env.probe
+            if pb.enabled:
+                now = env.now
+                pb.complete("memory.round", t0, now, cat="memory",
+                            tid=f"migration:{vm.name}",
+                            args={"round": stats.rounds, "bytes": wire})
                 # Per-round residual: what the next round (or the
                 # downtime flush) still has to move.
-                sr.gauge(f"mem.residual:{vm.name}", env.now, remaining,
-                         unit="B")
-                sr.gauge(f"mem.dirty_rate:{vm.name}", env.now,
-                         vm.dirty_rate, unit="B/s")
-                sr.gauge(f"mem.rounds:{vm.name}", env.now, stats.rounds,
+                pb.gauge(f"mem.residual:{vm.name}", now, remaining, unit="B")
+                pb.gauge(f"mem.dirty_rate:{vm.name}", now, vm.dirty_rate,
+                         unit="B/s")
+                pb.gauge(f"mem.rounds:{vm.name}", now, stats.rounds,
                          unit="rounds")
         self._after_rounds(vm)
         return remaining
@@ -261,15 +259,14 @@ class PostcopyMemory:
         if nbytes > 0:
             t0 = env.now
             yield fabric.transfer(src, dst, nbytes, tag="memory", cause="memory")
-            tr = env.tracer
-            if tr.enabled:
-                tr.complete("memory.postcopy", t0, env.now, cat="memory",
-                            tid=f"migration:{vm.name}",
-                            args={"bytes": nbytes})
             stats.round_durations.append(env.now - t0)
             stats.bytes_sent += nbytes
-            sr = env.series
-            if sr.enabled:
-                sr.gauge(f"mem.residual:{vm.name}", env.now, 0.0, unit="B")
-                sr.gauge(f"mem.rounds:{vm.name}", env.now, stats.rounds,
+            pb = env.probe
+            if pb.enabled:
+                now = env.now
+                pb.complete("memory.postcopy", t0, now, cat="memory",
+                            tid=f"migration:{vm.name}",
+                            args={"bytes": nbytes})
+                pb.gauge(f"mem.residual:{vm.name}", now, 0.0, unit="B")
+                pb.gauge(f"mem.rounds:{vm.name}", now, stats.rounds,
                          unit="rounds")

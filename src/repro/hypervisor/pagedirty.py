@@ -169,15 +169,15 @@ class PageLevelPrecopyMemory:
                 rate = remaining / dur
             model.advance(dur)
             remaining = float(model.take_dirty()) * model.page_size
-            sr = env.series
-            if sr.enabled:
+            pb = env.probe
+            if pb.enabled:
                 # Bitmap-model residual and the closed-form unique-dirty
                 # rate (reads model state only; the rng stays untouched).
-                sr.gauge(f"mem.residual:{vm.name}", env.now, remaining,
+                pb.gauge(f"mem.residual:{vm.name}", env.now, remaining,
                          unit="B")
-                sr.gauge(f"mem.dirty_rate:{vm.name}", env.now,
+                pb.gauge(f"mem.dirty_rate:{vm.name}", env.now,
                          model.unique_dirty_rate(), unit="B/s")
-                sr.gauge(f"mem.rounds:{vm.name}", env.now, stats.rounds,
+                pb.gauge(f"mem.rounds:{vm.name}", env.now, stats.rounds,
                          unit="rounds")
         # The residual (still-dirty pages) moves during downtime.
         return float(model.dirty_bytes) if not remaining else remaining

@@ -116,9 +116,9 @@ class LintConfig:
     )
 
     #: P rules (probe purity) apply to modules under these prefixes —
-    #: everywhere the telemetry hooks are planted.  Same surface as the
-    #: kernel scope: a probe block in any simulation package must be
-    #: observe-only.
+    #: everywhere the telemetry hooks are planted.  The kernel scope plus
+    #: the fault injector: a probe block in any simulation package must
+    #: be observe-only.
     probe_modules: tuple[str, ...] = (
         "repro.simkernel",
         "repro.netsim",
@@ -128,17 +128,20 @@ class LintConfig:
         "repro.storage",
         "repro.repository",
         "repro.cluster",
+        "repro.faults",
     )
 
     #: Final attribute segments identifying telemetry handles for the P
-    #: rules: ``sr = self.env.series`` makes ``sr`` a probe handle, and
+    #: rules: ``pb = self.env.probe`` makes ``pb`` a probe handle, and
     #: any call rooted at a handle (or reading through one of these
-    #: attributes) is sanctioned inside a probe block.
+    #: attributes) is sanctioned inside a probe block.  The sink names
+    #: stay listed so P701-P703 still police a sink read that P704 flags.
     probe_attrs: tuple[str, ...] = (
+        "probe",
+        "profiler",
         "series",
         "tracer",
         "metrics",
-        "profiler",
     )
 
     #: Layer ranks for the S rules (longest-prefix match).

@@ -60,7 +60,7 @@ from repro.lint.rules.base import (
 )
 
 _HINT_IO = ("simulation processes must not touch real I/O; report via "
-            "env.tracer / env.metrics or return data to the caller")
+            "env.probe or return data to the caller")
 _HINT_YIELD = ("kernel processes may only yield Event objects (timeouts, "
                "transfers, conditions); a literal here would crash the "
                "scheduler at runtime")

@@ -1,15 +1,15 @@
-"""P — probe-purity rules: telemetry blocks must be observe-only.
+"""P — probe rules: one telemetry handle, and its blocks observe only.
 
-PR 9's instrumentation idiom guards every recording site on the
-recorder's null-object flag::
+Simulation code records telemetry through one handle, ``env.probe``,
+guarded by its null-object flag (one block per instrumented site)::
 
-    sr = self.env.series
-    if sr.enabled:
-        sr.gauge("hybrid.window_bytes", now, self._window_bytes)
+    pb = self.env.probe
+    if pb.enabled:
+        pb.gauge("hybrid.window_bytes", now, self._window_bytes)
 
 The whole design rests on those blocks being *pure observers*: with
 telemetry off they are skipped entirely, so anything they do beyond
-reading state and calling the recorder makes enabled and disabled runs
+reading state and calling the probe makes enabled and disabled runs
 diverge — the exact bug class the differential suites exist to catch,
 except baked into the instrumentation itself.  These rules prove the
 property statically, per guarded block, inside the simulation packages
@@ -30,13 +30,19 @@ property statically, per guarded block, inside the simulation packages
     ``fabric.transfer/message/rpc``, ``repo.fetch/store`` (the same
     receiver heuristics the C family uses).  Telemetry must never move
     or account bytes itself — it reads the meters others wrote.
+``P704``
+    A read of a telemetry sink (``tracer``, ``metrics``, ``series``)
+    off the environment or the probe: ``env.tracer``,
+    ``self.env.metrics``, ``pb.series``.  Sinks sit behind the probe,
+    so every site keeps the one call shape.  The probe's causal hook
+    (``pb.causal``) is not a sink and stays reachable.
 
 A *probe handle* is any local bound from an attribute chain whose final
-segment is one of ``probe_attrs`` (``series``, ``tracer``, ``metrics``,
-``profiler``), or such a chain used directly; a *probe block* is an
+segment is one of ``probe_attrs`` (``probe``, ``profiler``, plus the
+sink names), or such a chain used directly; a *probe block* is an
 ``if`` whose test reads ``.enabled`` off a handle.  Calls that root at a
-handle — including fluent ones like ``mx.counter("x").inc()`` and
-sub-recorders like ``tr.causal.record_wait(...)`` — are always allowed.
+handle — including sub-recorders like ``pb.causal.record_wait(...)`` —
+are always allowed.
 
 Witness paths record where the handle was bound, which guard opened the
 block, and the offending operation.
@@ -68,6 +74,12 @@ _HINT_SCHED = ("scheduling from a probe changes the event sequence of "
                "the recorder")
 _HINT_BYTES = ("byte accounting belongs to the simulation proper; the "
                "probe should read meter totals, never write them")
+_HINT_SINK = ("record through env.probe (pb = self.env.probe; if "
+              "pb.enabled: pb.<verb>(...)); the sinks behind it are not "
+              "simulation-facing")
+
+#: Telemetry sinks that sit behind ``env.probe``.
+_SINKS = {"tracer", "metrics", "series"}
 
 #: Method names that mutate their receiver in-place.
 _MUTATORS = {"append", "appendleft", "extend", "insert", "remove", "pop",
@@ -133,6 +145,13 @@ def _check_function(ctx: FileContext, fn: ast.FunctionDef) -> list[Finding]:
 
     out: list[Finding] = []
     for node in walk_own(fn.body):
+        if isinstance(node, ast.Attribute) and node.attr in _SINKS:
+            chain = attr_chain(node.value)
+            if chain is not None and (chain[-1] in ("env", "probe")
+                                      or chain[0] in handles):
+                out.append(ctx.finding(
+                    node, "P704", f"telemetry sink '{'.'.join(chain)}."
+                    f"{node.attr}' read outside the probe", _HINT_SINK))
         if not isinstance(node, ast.If):
             continue
         guard = _enabled_guard(ctx, node.test, handles)

@@ -277,17 +277,13 @@ class Fabric:
             # Fully partitioned link: the message is lost in transit.
             return self._black_hole(src, dst, tag, cause)
         self.meter.add(tag, nbytes, cause=cause)
-        sr = self.env.series
-        if sr.enabled:
-            sr.credit_net(tag, cause, self.env.now, nbytes)
-        tr = self.env.tracer
-        if tr.enabled and tr.verbose:
-            tr.instant(f"message:{tag}", cat="net", tid="net:control",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.credit_net(tag, cause, self.env.now, nbytes)
+            pb.instant(f"message:{tag}", cat="net", tid="net:control",
                        args={"src": src.name, "dst": dst.name,
-                             "bytes": nbytes, "cause": cause})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter(f"net.messages.{tag}").inc()
+                             "bytes": nbytes, "cause": cause},
+                       full=True, per=tag)
         wire = nbytes / cap
         return annotate(self.env, self.env.timeout(self.latency + wire),
                         "net.message", tag=tag, cause=cause)
@@ -310,15 +306,12 @@ class Fabric:
         if flow not in self._flows:
             return False  # crossed the finish line at the integration step
         self._flows.remove(flow)
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("flow.cancelled", cat="net", tid=f"net:{flow.tag}",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant("flow.cancelled", cat="net", tid=f"net:{flow.tag}",
                        args={"src": flow.src.name, "dst": flow.dst.name,
                              "left_bytes": flow.remaining,
                              "cause": flow.cause})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("net.flows.cancelled").inc()
         self._changed()
         return True
 
@@ -335,13 +328,10 @@ class Fabric:
             return 0
         for fl in doomed:
             self._flows.remove(fl)
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("flows.aborted", cat="net", tid="net:faults",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant("flows.aborted", cat="net", tid="net:faults",
                        args={"host": host.name, "count": len(doomed)})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("net.flows.aborted").inc(len(doomed))
         self._changed()
         return len(doomed)
 
@@ -351,14 +341,11 @@ class Fabric:
         it never completes and moves no bytes.  The returned event stays
         pending forever — the caller's timeout/abort machinery is the
         only recovery path."""
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("flow.blackholed", cat="net", tid=f"net:{tag}",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant("flow.blackholed", cat="net", tid=f"net:{tag}",
                        args={"src": src.name, "dst": dst.name,
                              "cause": cause if cause is not None else tag})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("net.flows.blackholed").inc()
         return annotate(self.env, Event(self.env), "net.blackhole",
                         tag=tag, cause=cause if cause is not None else tag)
 
@@ -383,7 +370,7 @@ class Fabric:
             prof.count("fabric.advances")
             prof.count("fabric.flows_advanced", len(table))
         try:
-            sr = self.env.series
+            pb = self.env.probe
             meter = self.meter
             finished: list[NetFlow] = []
             for fl in table:
@@ -391,38 +378,32 @@ class Fabric:
                 fl.remaining -= moved
                 fl._accounted += moved
                 meter.add(fl.tag, moved, cause=fl.cause)
-                if sr.enabled:
+                if pb.enabled:
                     # Shadow the meter credit value-for-value so the
                     # net.<tag> curve stays bit-identical to by_tag().
-                    sr.credit_net(fl.tag, fl.cause, now, moved)
+                    pb.credit_net(fl.tag, fl.cause, now, moved)
                 if fl.remaining <= DONE_EPS:
                     fl.remaining = 0.0
                     finished.append(fl)
             if not finished:
                 return
             self._dirty = True
-            tr = self.env.tracer
-            mx = self.env.metrics
             for fl in finished:
                 table.remove(fl)
                 # Credit any residual rounding so accounting is exact.
-                if fl._accounted < fl.nbytes:
-                    residual = fl.nbytes - fl._accounted
+                residual = fl.nbytes - fl._accounted
+                if residual > 0:
                     meter.add(fl.tag, residual, cause=fl.cause)
-                    if sr.enabled:
-                        sr.credit_net(fl.tag, fl.cause, now, residual)
                     fl._accounted = fl.nbytes
-                if tr.enabled:
-                    tr.async_span(
-                        f"flow:{fl.tag}", fl.started_at, self.env.now,
+                if pb.enabled:
+                    if residual > 0:
+                        pb.credit_net(fl.tag, fl.cause, now, residual)
+                    pb.async_span(
+                        f"flow:{fl.tag}", fl.started_at, now,
                         cat="net", tid=f"net:{fl.tag}",
                         args={"src": fl.src.name, "dst": fl.dst.name,
                               "bytes": fl.nbytes, "cause": fl.cause},
-                    )
-                if mx.enabled:
-                    mx.counter(f"net.flows.{fl.tag}").inc()
-                    mx.histogram("net.flow.duration").observe(
-                        self.env.now - fl.started_at
+                        per=fl.tag,
                     )
                 fl.done.succeed(self.env.now - fl.started_at)
         finally:
@@ -430,16 +411,11 @@ class Fabric:
                 prof.exit()
 
     def _recompute(self) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
+        pb = self.env.probe
+        if pb.enabled:
             # Every reshare samples the concurrency level: a counter track
             # Perfetto graphs directly (traffic burstiness, Section 5.4).
-            tr.counter("fabric.active_flows",
-                       {"flows": len(self._flows)})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.gauge("net.active_flows").set(len(self._flows))
-            mx.counter("net.reshares").inc()
+            pb.counter("fabric.active_flows", {"flows": len(self._flows)})
         topo = self.topology
         if not self._flows:
             self._dirty = False
@@ -490,9 +466,9 @@ class Fabric:
                     stats=stats,
                 )
             self._flows.assign_rates(rates)
-            sr = self.env.series
-            if sr.enabled:
-                self._sample_allocation(sr)
+            pb = self.env.probe
+            if pb.enabled:
+                self._sample_allocation(pb)
             self._dirty = False
             self._topo_version_seen = topo.version
         finally:
@@ -504,7 +480,7 @@ class Fabric:
                 prof.count("maxmin.memo_hits", stats.get("memo_hits", 0))
                 prof.exit()
 
-    def _sample_allocation(self, sr) -> None:
+    def _sample_allocation(self, pb) -> None:
         """Observe-only series probe on the just-solved max-min rates.
 
         Samples the allocated rate per traffic tag and the utilization of
@@ -521,14 +497,14 @@ class Fabric:
             egress[fl.src] = egress.get(fl.src, 0.0) + fl.rate
             ingress[fl.dst] = ingress.get(fl.dst, 0.0) + fl.rate
         for tag in sorted(by_tag):
-            sr.gauge(f"net.rate.{tag}", now, by_tag[tag], unit="B/s")
+            pb.gauge(f"net.rate.{tag}", now, by_tag[tag], unit="B/s")
         for host in sorted(egress, key=lambda h: h.name):
             if host.nic_out > 0:
-                sr.gauge(f"link.{host.name}.out", now,
+                pb.gauge(f"link.{host.name}.out", now,
                          egress[host] / host.nic_out, unit="util")
         for host in sorted(ingress, key=lambda h: h.name):
             if host.nic_in > 0:
-                sr.gauge(f"link.{host.name}.in", now,
+                pb.gauge(f"link.{host.name}.in", now,
                          ingress[host] / host.nic_in, unit="util")
 
     def _reschedule(self) -> None:

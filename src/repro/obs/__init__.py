@@ -1,18 +1,21 @@
 """``repro.obs`` — structured tracing + metrics across the simulation stack.
 
 The simulator's layers (kernel, fabric, storage managers, hypervisor,
-repositories) are instrumented against two interfaces installed on every
-:class:`~repro.simkernel.core.Environment`:
+repositories) are instrumented against one handle installed on every
+:class:`~repro.simkernel.core.Environment`, ``env.probe``
+(:mod:`repro.obs.probe`).  Each probe record fans out to the live sinks:
 
-* ``env.tracer`` — typed span/instant/counter events stamped with
+* the tracer — typed span/instant/counter events stamped with
   simulation time (:mod:`repro.obs.tracer`);
-* ``env.metrics`` — named counters/gauges/histograms
-  (:mod:`repro.obs.registry`).
+* the series recorder — time-resolved signals (:mod:`repro.obs.series`);
+* the metrics registry — named counters/gauges/histograms folded from
+  the records (:mod:`repro.obs.registry`).
 
-Both default to null implementations, so an uninstrumented run pays
-nothing.  :class:`Observability` bundles live instances, installs them
-into environments, scopes multi-run sweeps into separate trace process
-lanes and per-run metric snapshots, and writes the exports
+With every sink off the environment carries the null probe, so an
+uninstrumented run pays one ``enabled`` check per site.
+:class:`Observability` bundles live sinks, installs them into
+environments, scopes multi-run sweeps into separate trace process lanes
+and per-run metric snapshots, and writes the exports
 (:mod:`repro.obs.export`)::
 
     obs = Observability(detail="normal")
@@ -20,7 +23,7 @@ lanes and per-run metric snapshots, and writes the exports
     obs.write(trace_path="trace.json", metrics_path="metrics.json")
 
 See ``examples/trace_a_migration.py`` for the full walkthrough and
-``docs/architecture.md`` ("Observability") for the event taxonomy.
+``docs/observability.md`` for the probe idiom and the metric names.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.obs.export import (
     write_series_json,
     write_trace,
 )
+from repro.obs.probe import NULL_PROBE, Probe
 from repro.obs.prof import NULL_PROFILER, NullProfiler, Profiler
 from repro.obs.registry import (
     NULL_METRICS,
@@ -58,6 +62,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
+    "NULL_PROBE",
     "NULL_PROFILER",
     "NULL_SERIES",
     "NULL_TRACER",
@@ -66,6 +71,7 @@ __all__ = [
     "NullSeriesRecorder",
     "NullTracer",
     "Observability",
+    "Probe",
     "Profiler",
     "SeriesRecorder",
     "Tracer",
@@ -153,17 +159,17 @@ class Observability:
             self.series: SeriesRecorder | NullSeriesRecorder = series
         else:
             self.series = SeriesRecorder() if series else NULL_SERIES
+        #: The one handle simulation code records through.
+        self.probe = Probe(self.tracer, self.series, self.metrics)
         #: Finished per-run metric snapshots, keyed by run label.
         self.runs: dict[str, dict] = {}
 
     # -- wiring ------------------------------------------------------------
     def install(self, env) -> "Observability":
-        """Install tracer + registry + profiler onto ``env`` (rebinds the
-        clock)."""
-        env.tracer = self.tracer
-        env.metrics = self.metrics
+        """Install the probe and the profiler onto ``env`` (rebinds the
+        trace clock)."""
+        env.probe = self.probe
         env.profiler = self.profiler
-        env.series = self.series
         self.tracer.bind(env)
         return self
 

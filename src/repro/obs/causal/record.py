@@ -46,8 +46,7 @@ def annotate(env: "Environment", event: "Event", cls: str, **detail: Any) -> "Ev
 
     Returns the event for chaining.
     """
-    tr = getattr(env, "tracer", None)
-    if tr is not None and tr.enabled and tr.causal is not None:
+    if env.probe.causal is not None:
         event._causal = (cls, detail)
     return event
 

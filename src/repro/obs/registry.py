@@ -2,16 +2,17 @@
 
 The registry is the aggregate companion to the event-level
 :mod:`~repro.obs.tracer`: where the tracer answers *when did it happen*,
-the registry answers *how much of it happened* — ``push.chunks``,
-``pull.demand.latency``, ``prefetch.queue_depth`` — without requiring a
-trace post-processing step.
-
-As with tracing, a :class:`NullMetricsRegistry` is installed by default:
-its factory methods hand back shared no-op instruments, so instrumented
-code never needs a None check and pays nothing when metrics are off.
+the registry answers *how much of it happened*.  Simulation code never
+writes it: it is a sink of ``env.probe`` (:mod:`repro.obs.probe`) that
+folds every record as it arrives (the ``fold_*`` methods), keyed by the
+record name up to its first colon so instance suffixes fold away.
+``docs/observability.md`` tabulates how metric names derive from record
+names.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 __all__ = [
     "Counter",
@@ -92,57 +93,16 @@ class Histogram:
                 "max": self.max, "mean": self.mean}
 
 
-class _NullInstrument:
-    """Accepts the whole Counter/Gauge/Histogram API and does nothing."""
-
-    __slots__ = ()
-
-    value = 0.0
-    max = 0.0
-    count = 0
-    total = 0.0
-    mean = 0.0
-
-    def inc(self, n: float = 1.0) -> None:
-        pass
-
-    def set(self, v: float) -> None:
-        pass
-
-    def observe(self, v: float) -> None:
-        pass
-
-    def snapshot(self) -> float:
-        return 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
 class NullMetricsRegistry:
-    """The disabled registry: shared no-op instruments, zero allocation."""
+    """The disabled registry: the probe never folds a record into it, and
+    ``Observability`` never snapshots it."""
 
     __slots__ = ()
 
     enabled = False
 
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
 
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def reset(self) -> None:
-        pass
-
-
-#: Installed on every fresh Environment.
+#: The shared disabled registry.
 NULL_METRICS = NullMetricsRegistry()
 
 
@@ -155,6 +115,10 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: Record name -> the gauge / counter its series samples fold
+        #: into (one lookup per sample on the kernel's per-event path).
+        self._levels: dict[str, Gauge] = {}
+        self._sums: dict[str, Counter] = {}
 
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
@@ -174,6 +138,49 @@ class MetricsRegistry:
             h = self._histograms[name] = Histogram(name)
         return h
 
+    # -- the probe fold (see the module docstring) -------------------------
+    def _add(self, name: str, n: float) -> None:
+        c = self._counters.get(name) or self.counter(name)
+        c.value += n
+
+    def fold_event(self, name: str, args: Optional[dict],
+                   dur: Optional[float], per: Optional[str]) -> None:
+        """Fold one instant or span: a count (also per ``per`` category),
+        sums of its numeric args, and its duration ``dur`` if any."""
+        key = name.partition(":")[0]
+        self._add(key, 1)
+        if per is not None:
+            self._add(f"{key}.{per}", 1)
+        if args:
+            for arg, v in args.items():
+                if isinstance(v, (int, float)):
+                    self._add(f"{key}.{arg}", v)
+        if dur is not None:
+            (self._histograms.get(key) or self.histogram(key)).observe(dur)
+
+    def fold_levels(self, name: str, values: dict) -> None:
+        """Fold one trace counter sample: a count plus one gauge per value."""
+        key = name.partition(":")[0]
+        self._add(key, 1)
+        for k, v in values.items():
+            self.gauge(f"{key}.{k}").set(v)
+
+    def fold_level(self, name: str, value: float) -> None:
+        """Fold one series gauge sample: last value and max."""
+        g = self._levels.get(name)
+        if g is None:
+            g = self._levels[name] = self.gauge(name.partition(":")[0])
+        g.value = value
+        if value > g.max:
+            g.max = value
+
+    def fold_add(self, name: str, n: float) -> None:
+        """Fold one increment of a cumulative series curve: a sum."""
+        c = self._sums.get(name)
+        if c is None:
+            c = self._sums[name] = self.counter(name.partition(":")[0])
+        c.value += n
+
     def snapshot(self) -> dict:
         """All instruments as plain sorted data (JSON-ready)."""
         return {
@@ -190,6 +197,8 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        self._levels.clear()
+        self._sums.clear()
 
     def __repr__(self) -> str:
         return (

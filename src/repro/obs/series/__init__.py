@@ -50,7 +50,6 @@ from repro.obs.series.conserve import integral_check, step_integral
 from repro.obs.series.core import (
     NULL_SERIES,
     SCHEMA,
-    AnySeries,
     NullSeriesRecorder,
     SeriesRecorder,
 )
@@ -64,7 +63,6 @@ from repro.obs.series.render import (
 )
 
 __all__ = [
-    "AnySeries",
     "NULL_SERIES",
     "NullSeriesRecorder",
     "SCHEMA",

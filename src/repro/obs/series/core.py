@@ -23,10 +23,10 @@ engines, netsim, hypervisor models and the kernel:
 Probe contract (enforced by tests, documented in
 ``docs/observability.md``): probes piggyback on events that already
 fire, schedule nothing, and never touch simulation state — a run with
-series recording on is byte-identical to one with it off.  The recorder
-follows the tracer/metrics/profiler null-object pattern: every
-environment carries :data:`NULL_SERIES` by default, and every probe is a
-single ``enabled`` check when recording is off.
+series recording on is byte-identical to one with it off.  Simulation
+code reaches the recorder only through ``env.probe``
+(:mod:`repro.obs.probe`), whose series verbs forward here unchanged;
+:data:`NULL_SERIES` stands in when recording is off.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ DEFAULT_MAX_BINS = 512
 
 
 class NullSeriesRecorder:
-    """Recording disabled: every probe is a no-op.
+    """Recording disabled.  The probe never forwards a signal here and
+    ``Observability`` closes no run in it; the summary says it was off.
 
     Instances carry no state (``__slots__ = ()``) so a stray attribute
     write fails loudly instead of silently recording nothing.
@@ -57,28 +58,6 @@ class NullSeriesRecorder:
     __slots__ = ()
 
     enabled = False
-
-    def gauge(self, name: str, t: float, value: float,
-              unit: str = "") -> None:
-        pass
-
-    def inc(self, name: str, t: float, n: float = 1.0,
-            unit: str = "count") -> None:
-        pass
-
-    def credit_net(self, tag: str, cause: str, t: float,
-                   nbytes: float) -> None:
-        pass
-
-    def distribution(self, name: str, t: float, cells: list,
-                     unit: str = "chunks") -> None:
-        pass
-
-    def check_conservation(self, meter: "TrafficMeterLike") -> None:
-        pass
-
-    def finish_run(self, label: str) -> None:
-        pass
 
     def summary(self) -> dict:
         return {"schema": SCHEMA, "enabled": False}
@@ -295,6 +274,3 @@ class SeriesRecorder:
             runs.append(self._run_doc("(unscoped)", self._signals,
                                       self._conservation))
         return {"schema": SCHEMA, "enabled": True, "runs": runs}
-
-
-AnySeries = SeriesRecorder | NullSeriesRecorder

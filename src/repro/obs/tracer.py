@@ -7,16 +7,16 @@ Two tracer flavours share one API:
   it is bound to.  Events are stored as plain dicts already shaped like the
   Chrome trace-event format, so export (:mod:`repro.obs.export`) is a
   serialization step, not a transformation.
-* :class:`NullTracer` is the default installed on every environment.  Every
-  method is a no-op returning a shared singleton, so instrumented hot paths
-  cost two attribute loads and a predictable branch when tracing is off —
-  no allocation, no simulation events, no behavioural difference.
+* :class:`NullTracer` stands in when tracing is off.  Every method is a
+  no-op returning a shared singleton.
 
-Call sites guard on :attr:`enabled` before building argument dicts::
+Simulation code never calls the tracer directly: it records through
+``env.probe`` (:mod:`repro.obs.probe`), which forwards the trace verbs
+here with their arguments unchanged::
 
-    tr = self.env.tracer
-    if tr.enabled:
-        tr.instant("push.stop", cat="storage", tid=f"push:{vm}")
+    pb = self.env.probe
+    if pb.enabled:
+        pb.instant("push.stop", cat="storage", tid=f"push:{vm}")
 
 Determinism: events are stamped with simulation time and appended in
 execution order.  Because the kernel delivers simultaneous events in a
@@ -35,7 +35,7 @@ _US = 1e6
 
 
 class _NullSpan:
-    """Shared no-op context manager returned by every NullTracer method."""
+    """Shared no-op context manager returned by NullTracer.span/scope."""
 
     __slots__ = ()
 
@@ -50,7 +50,8 @@ _NULL_SPAN = _NullSpan()
 
 
 class NullTracer:
-    """The disabled tracer: every operation is free and side-effect free."""
+    """The disabled tracer.  The probe never forwards a record to it; it
+    answers the lifecycle calls and host-side spans, free of effects."""
 
     __slots__ = ()
 
@@ -62,22 +63,6 @@ class NullTracer:
     def bind(self, env: Any) -> None:
         pass
 
-    def instant(self, name: str, cat: str = "", tid: str = "main",
-                args: Optional[dict] = None) -> None:
-        pass
-
-    def complete(self, name: str, start: float, end: float, cat: str = "",
-                 tid: str = "main", args: Optional[dict] = None) -> None:
-        pass
-
-    def counter(self, name: str, values: Optional[dict] = None,
-                tid: str = "counters") -> None:
-        pass
-
-    def async_span(self, name: str, start: float, end: float, cat: str = "",
-                   tid: str = "main", args: Optional[dict] = None) -> None:
-        pass
-
     def span(self, name: str, cat: str = "", tid: str = "main",
              args: Optional[dict] = None) -> _NullSpan:
         return _NULL_SPAN
@@ -86,7 +71,7 @@ class NullTracer:
         return _NULL_SPAN
 
 
-#: The module-level singleton installed on every fresh Environment.
+#: The shared disabled tracer.
 NULL_TRACER = NullTracer()
 
 

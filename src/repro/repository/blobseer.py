@@ -99,17 +99,14 @@ class StripedRepository:
 
         per_server = self._plan_fetch(chunk_ids)
 
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("repo.fetch", cat="repo", tid="repo",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant("repo.fetch", cat="repo", tid="repo",
                        args={"chunks": int(len(chunk_ids)),
                              "stripes": len(per_server),
                              "dest": dest.name})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("repo.fetch.chunks").inc(int(len(chunk_ids)))
-            mx.counter("repo.fetch.requests").inc()
-            mx.gauge("repo.fetch.stripe_width").set(len(per_server))
+            pb.counter("repo.fetch.stripe_width",
+                       {"stripes": len(per_server)}, tid="repo", full=True)
         transfers = []
         with self.fabric.batch():
             for sidx, count in per_server.items():
@@ -176,16 +173,12 @@ class StripedRepository:
                         f"replica server {sidx} of chunk {int(chunk)} is down"
                     )
                 per_server[sidx] += 1
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("repo.store", cat="repo", tid="repo",
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant("repo.store", cat="repo", tid="repo",
                        args={"chunks": int(len(chunk_ids)),
                              "stripes": len(per_server),
                              "src": src.name})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("repo.store.chunks").inc(int(len(chunk_ids)))
-            mx.counter("repo.store.requests").inc()
         transfers = []
         with self.fabric.batch():
             for sidx, count in per_server.items():

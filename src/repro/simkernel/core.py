@@ -39,10 +39,8 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
+from repro.obs.probe import NULL_PROBE, Probe
 from repro.obs.prof.core import NULL_PROFILER, AnyProfiler
-from repro.obs.registry import NULL_METRICS
-from repro.obs.series.core import NULL_SERIES, AnySeries
-from repro.obs.tracer import NULL_TRACER
 
 __all__ = [
     "Environment",
@@ -264,9 +262,9 @@ class Process(Event):
         self._target: Optional[Event] = None
         self._wait_begin: Optional[float] = None
         self.started_at = env.now
-        tr = env.tracer
-        if tr.enabled:
-            tr.instant("process.start", cat="kernel",
+        pb = env.probe
+        if pb.enabled:
+            pb.instant("process.start", cat="kernel",
                        tid=f"proc:{self.name}")
         # Bootstrap: resume the generator at the current time.
         init = Event(env)
@@ -307,9 +305,9 @@ class Process(Event):
         self.env._schedule(event, URGENT)
 
     def _trace_finish(self, outcome: str) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.complete(f"proc:{self.name}", self.started_at, self.env.now,
+        pb = self.env.probe
+        if pb.enabled:
+            pb.complete(f"proc:{self.name}", self.started_at, self.env.now,
                         cat="kernel", tid=f"proc:{self.name}",
                         args={"outcome": outcome})
 
@@ -319,19 +317,20 @@ class Process(Event):
             # A stale wakeup (e.g. the process was interrupted and finished
             # before its old target fired).  Nothing to do.
             return
-        tr = self.env.tracer
-        if tr.enabled and tr.verbose:
-            tr.instant("process.resume", cat="kernel", tid=f"proc:{self.name}")
-        if tr.enabled and tr.causal is not None and self._wait_begin is not None:
-            # The wait that just ended.  ``_target`` is what the process was
-            # actually waiting on; on an interrupt the delivered ``event`` is
-            # the interrupt carrier, but the time was still spent on
-            # ``_target``, so prefer it for attribution.
-            tr.causal.record_wait(
-                self.name, self._wait_begin, self.env.now,
-                self._target if self._target is not None else event,
-            )
-        # Reset outside the tracer guard: the wait is over whether or not
+        pb = self.env.probe
+        if pb.enabled:
+            pb.instant("process.resume", cat="kernel",
+                       tid=f"proc:{self.name}", full=True)
+            if pb.causal is not None and self._wait_begin is not None:
+                # The wait that just ended.  ``_target`` is what the process
+                # was actually waiting on; on an interrupt the delivered
+                # ``event`` is the interrupt carrier, but the time was
+                # still spent on ``_target``, so prefer it for attribution.
+                pb.causal.record_wait(
+                    self.name, self._wait_begin, self.env.now,
+                    self._target if self._target is not None else event,
+                )
+        # Reset outside the probe guard: the wait is over whether or not
         # anyone recorded it, and probe blocks must stay observe-only.
         self._wait_begin = None
         self.env._active = self
@@ -418,16 +417,12 @@ class Environment:
         self._bucket_normal: deque[tuple[int, Event]] = deque()
         self._seq = 0
         self._active: Optional[Process] = None
-        #: Observability hooks; null implementations by default (zero
-        #: overhead), replaced by ``repro.obs.Observability.install``.
-        self.tracer = NULL_TRACER
-        self.metrics = NULL_METRICS
+        #: The telemetry probe (``repro.obs.probe``): the null object by
+        #: default, replaced by ``repro.obs.Observability.install``.
+        self.probe: Probe = NULL_PROBE
         #: Host-side self-profiler (``repro.obs.prof``); the null object
         #: keeps the dispatch fast path branch-predictable when off.
         self.profiler: AnyProfiler = NULL_PROFILER
-        #: Time-series recorder (``repro.obs.series``); observe-only
-        #: probes sample into it when enabled, no-op otherwise.
-        self.series: AnySeries = NULL_SERIES
         #: Lifetime count of processed events; the benchmark harness
         #: (benchmarks/trajectory.py) divides by wall-clock for events/sec.
         #: Cancelled entries are skipped, not processed — they don't count.
@@ -539,13 +534,12 @@ class Environment:
             return
         self._now = when
         self.events_processed += 1
-        if self.series.enabled:
-            self.series.gauge(
-                "kernel.ready", when,
-                len(self._bucket_urgent) + len(self._bucket_normal),
-                unit="events")
-            self.series.gauge("kernel.heap", when, len(self._queue),
-                              unit="events")
+        pb = self.probe
+        if pb.enabled:
+            pb.gauge("kernel.ready", when,
+                     len(self._bucket_urgent) + len(self._bucket_normal),
+                     unit="events")
+            pb.gauge("kernel.heap", when, len(self._queue), unit="events")
         callbacks, event.callbacks = event.callbacks, None
         assert callbacks is not None
         for cb in callbacks:
@@ -576,13 +570,13 @@ class Environment:
                 return
             self._now = when
             self.events_processed += 1
-            if self.series.enabled:
-                self.series.gauge(
-                    "kernel.ready", when,
-                    len(self._bucket_urgent) + len(self._bucket_normal),
-                    unit="events")
-                self.series.gauge("kernel.heap", when, len(self._queue),
-                                  unit="events")
+            pb = self.probe
+            if pb.enabled:
+                pb.gauge("kernel.ready", when,
+                         len(self._bucket_urgent) + len(self._bucket_normal),
+                         unit="events")
+                pb.gauge("kernel.heap", when, len(self._queue),
+                         unit="events")
             callbacks, event.callbacks = event.callbacks, None
             assert callbacks is not None
             prof.count("kernel.callbacks_run", len(callbacks))

@@ -135,7 +135,6 @@ class CM1Workload(Workload):
                 yield from self.write(offset, self.dump_bytes)
                 self.dumps_done += 1
             self.steps_done = step
-            self.progress.record(self.env.now, step)
 
 
 def build_cm1_ensemble(

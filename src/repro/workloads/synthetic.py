@@ -55,7 +55,6 @@ class _PacedWriter(Workload):
         for i in range(n_ops):
             t0 = self.env.now
             yield from self.write(self.next_offset(i), self.op_size)
-            self.progress.record(self.env.now, self.bytes_written)
             # Pace to the target pressure: sleep out the remainder of the
             # inter-op gap (an op slower than the gap just runs late).
             spent = self.env.now - t0
@@ -135,7 +134,6 @@ class PacedReader(Workload):
             t0 = self.env.now
             offset = self.region_offset + (i % n_slots) * self.op_size
             yield from self.read(offset, self.op_size)
-            self.progress.record(self.env.now, self.bytes_read)
             spent = self.env.now - t0
             if spent < gap:
                 yield self.env.timeout(gap - spent)
@@ -209,6 +207,5 @@ class MixedOLTP(Workload):
                                   self.write_size)
             self.commit_latencies.append(self.env.now - t0)
             self.committed += 1
-            self.progress.record(self.env.now, self.committed)
             if self.think_time:
                 yield from self.vm.compute(self.think_time)

@@ -118,7 +118,6 @@ class TraceWorkload(Workload):
                 yield from self.read(op.offset, op.nbytes)
             self.ops_done += 1
             self.latencies.append(self.env.now - issue_at)
-            self.progress.record(self.env.now, self.ops_done)
 
     def latency_quantile(self, q: float) -> float:
         if not self.latencies:

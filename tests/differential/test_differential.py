@@ -36,7 +36,7 @@ from tests.faults.test_chaos_matrix import (
     _build,
     _plan,
 )
-from tests.golden.generate import GOLDENS
+from tests.golden.generate import GOLDENS, strip_kernel_introspection
 
 MB = 2**20
 
@@ -109,20 +109,6 @@ def _first_diff(a: str, b: str, context: int = 3) -> str:
     return "  (digests differ in length only)"
 
 
-def _strip_kernel_introspection(doc):
-    """Drop ``kernel.*`` signals from a series document.
-
-    Those gauges deliberately observe scheduler internals (ready-list
-    depth, heap size), which legitimately differ between the fast and
-    reference kernels; every other signal is simulation-time data and
-    must still match bitwise.
-    """
-    for run in doc.get("runs", []):
-        for name in [n for n in run["signals"] if n.startswith("kernel.")]:
-            del run["signals"][name]
-    return doc
-
-
 # ---------------------------------------------------------------- goldens
 @pytest.mark.parametrize("figure", sorted(GOLDENS))
 def test_golden_scenario_differential(figure):
@@ -135,7 +121,7 @@ def test_golden_scenario_differential(figure):
         with kernel_scope(kernel):
             doc = GOLDENS[figure]()
             if figure == "fig2_series":
-                doc = _strip_kernel_introspection(doc)
+                doc = strip_kernel_introspection(doc)
             return exact_json(doc)
 
     _assert_kernels_agree(run, f"golden:{figure}")

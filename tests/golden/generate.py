@@ -44,6 +44,20 @@ def canonical_json(obj) -> str:
     return json.dumps(_round(obj), indent=2, sort_keys=True) + "\n"
 
 
+def strip_kernel_introspection(doc):
+    """Drop ``kernel.*`` signals from a series document.
+
+    Those gauges deliberately observe scheduler internals (ready-list
+    depth, heap size), which legitimately differ between the fast and
+    reference kernels; every other signal is simulation-time data and
+    must still match bitwise.
+    """
+    for run in doc.get("runs", []):
+        for name in [n for n in run["signals"] if n.startswith("kernel.")]:
+            del run["signals"][name]
+    return doc
+
+
 def _outcome_digest(outcome) -> dict:
     """The ScenarioOutcome fields the figures consume."""
     return {

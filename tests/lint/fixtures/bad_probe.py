@@ -1,5 +1,5 @@
 # simlint: module=repro.core.fixture
-"""Impure telemetry probes: every P rule fires with a witness path."""
+"""Impure telemetry probes: every P purity rule fires with a witness path."""
 
 
 class Migrator:
@@ -9,9 +9,9 @@ class Migrator:
         self.retries = 0
 
     def step(self, nbytes):
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge("migrator.window", self.env.now, nbytes)
+        pb = self.env.probe
+        if pb.enabled:
+            pb.gauge("migrator.window", self.env.now, nbytes)
             self.retries += 1                     # P701: store to sim state
             self.env.timeout(0.001)               # P702: schedules an event
             self.meter.add(nbytes, cause="probe")  # P703: meter write

@@ -12,14 +12,13 @@ class Migrator:
         # Mutations happen in plain simulation code, outside any guard.
         self.retries += 1
         done = self.env.timeout(0.001)
-        sr = self.env.series
-        if sr.enabled:
-            # Reads of sim state, locals, and recorder calls (including
-            # fluent sub-recorders) are all sanctioned.
+        pb = self.env.probe
+        if pb.enabled:
+            # Reads of sim state, locals, and probe calls (including the
+            # causal sub-recorder) are all sanctioned.
             backlog = self.meter.total - nbytes
-            sr.gauge("migrator.window", self.env.now, nbytes)
-            sr.gauge("migrator.backlog", self.env.now, backlog)
-        tr = self.env.tracer
-        if tr.enabled and tr.causal is not None:
-            tr.causal.record_wait("migrator", 0, self.env.now, done)
+            pb.gauge("migrator.window", self.env.now, nbytes)
+            pb.gauge("migrator.backlog", self.env.now, backlog)
+            if pb.causal is not None:
+                pb.causal.record_wait("migrator", 0, self.env.now, done)
         return done

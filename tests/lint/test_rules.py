@@ -33,6 +33,7 @@ BAD_CASES = [
     ("bad_structure.py", "S", {"S501"}),
     ("bad_obsdag.py", "S", {"S502"}),
     ("bad_kernelbatch.py", "K", {"K405"}),
+    ("bad_probesink.py", "P", {"P704"}),
 ]
 
 
@@ -54,6 +55,7 @@ def test_bad_fixture_trips_exactly_its_family(name, family, expected_ids):
     "good_kernelflow.py",
     "good_kernelbatch.py",
     "good_probe.py",
+    "good_probesink.py",
     "good_structure.py",
     "good_obsdag.py",
 ])

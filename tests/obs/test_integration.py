@@ -61,9 +61,9 @@ class TestCliAcceptance:
         # Metrics dump holds the push/prefetch/pull counter families.
         dump = json.loads(metrics.read_text())
         counters = dump["runs"]["our-approach/ior"]["counters"]
-        assert counters["push.chunks"] > 0
-        assert counters["pull.prefetch.chunks"] > 0
-        assert "push.hot_skipped" in counters
+        assert counters["push.batch.chunks"] > 0
+        assert counters["prefetch.batch.chunks"] > 0
+        assert "push.hot_exclusion.chunks" in counters
 
     def test_jsonl_suffix_selects_line_stream(self, tmp_path):
         trace = tmp_path / "t.jsonl"

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.obs import Observability
+from repro.obs.probe import NULL_PROBE
 from repro.obs.registry import (
     NULL_METRICS,
     Counter,
@@ -74,15 +76,12 @@ class TestMetricsRegistry:
 
 
 class TestNullRegistry:
-    def test_disabled_and_shared_instrument(self):
-        assert NULL_METRICS.enabled is False
-        # One shared no-op object, regardless of name or kind.
-        assert NULL_METRICS.counter("a") is NULL_METRICS.histogram("b")
-        NULL_METRICS.counter("a").inc(100)
-        NULL_METRICS.gauge("g").set(7)
-        NULL_METRICS.histogram("h").observe(0.1)
-        assert NULL_METRICS.counter("a").snapshot() == 0.0
-        assert NULL_METRICS.snapshot() == {}
-
     def test_installed_on_fresh_environments(self):
-        assert Environment().metrics is NULL_METRICS
+        # Metrics off and nothing else on: the environment carries the
+        # null probe, so the null registry is never even reached.
+        assert Environment().probe is NULL_PROBE
+        assert Observability(trace=False, metrics=False).probe.enabled \
+            is False
+        assert Observability(trace=False, metrics=False).metrics \
+            is NULL_METRICS
+        assert NULL_METRICS.enabled is False

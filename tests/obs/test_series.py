@@ -9,8 +9,8 @@ The contracts, in rough order of importance:
    cumulative curve telescopes to the TrafficMeter tag total exactly —
    including under hypothesis-generated fault plans, where retries and
    partial flows stress the credit mirroring.
-3. *Null object*: a fresh Environment carries the shared NULL_SERIES
-   and pays only the ``if series.enabled`` branch when recording is off.
+3. *Null object*: a fresh Environment carries the shared NULL_PROBE
+   and pays only the ``if pb.enabled`` branch when recording is off.
 4. *Read side*: windowed aggregation, sparkline/CSV rendering, the
    diff-engine loader and the flight-report panel all consume the
    ``repro.series/1`` document without touching the recorder.
@@ -28,7 +28,7 @@ from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
 from repro.core.config import MigrationConfig
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.obs import Observability
-from repro.obs.registry import MetricsRegistry
+from repro.obs.probe import NULL_PROBE
 from repro.obs.series import (
     NULL_SERIES,
     SCHEMA,
@@ -78,17 +78,13 @@ def fig2_series():
 class TestNullSeries:
     def test_installed_on_fresh_environments(self):
         env = Environment()
-        assert env.series is NULL_SERIES
-        assert env.series.enabled is False
+        assert env.probe is NULL_PROBE
+        assert env.probe.enabled is False
 
     def test_every_method_is_a_noop(self):
+        # The signal verbs are gone: the probe never forwards a signal to
+        # a disabled recorder.  The summary is all that is left.
         sr = NullSeriesRecorder()
-        sr.gauge("g", 0.0, 1.0)
-        sr.inc("r", 0.0, 2.0)
-        sr.credit_net("tag", "cause", 0.0, 8.0)
-        sr.distribution("d", 0.0, [[0, "pushed", 1]])
-        sr.check_conservation(None)
-        sr.finish_run("label")
         assert sr.summary() == {"schema": SCHEMA, "enabled": False}
 
     def test_shared_singleton_has_no_state(self):
@@ -174,10 +170,9 @@ def _run_chaos_cell(approach, kind, series):
     plan = FaultPlan(faults=[fault], chunk_timeout=8.0, retry_max=6,
                      retry_backoff=0.25, migration_timeout=90.0,
                      horizon=600.0)
-    obs = Observability(trace=False, metrics=False, series=series)
+    obs = Observability(trace=False, metrics=True, series=series)
     env = Environment()
     obs.install(env)
-    env.metrics = MetricsRegistry()
     cluster = Cluster(env, ClusterSpec(**spec))
     config = plan.apply_to(MigrationConfig(push_batch=8, pull_batch=8))
     cloud = CloudMiddleware(cluster, config=config)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.probe import NULL_PROBE
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.obs.tracer import _NULL_SPAN  # noqa: PLC2701 - white-box test
 from repro.simkernel import Environment
@@ -18,12 +19,10 @@ class TestNullTracer:
         assert NULL_TRACER.verbose is False
 
     def test_every_method_is_a_noop(self):
+        # The record verbs are gone: the probe never forwards a record to
+        # a disabled tracer.  What is left is lifecycle and host spans.
         tr = NullTracer()
         tr.bind(FakeEnv())
-        tr.instant("x", cat="c", tid="t", args={"a": 1})
-        tr.complete("x", 0.0, 1.0)
-        tr.async_span("x", 0.0, 1.0)
-        tr.counter("x", {"v": 1})
         with tr.span("x"):
             pass
         with tr.scope("lane"):
@@ -38,7 +37,8 @@ class TestNullTracer:
 
     def test_installed_on_fresh_environments(self):
         env = Environment()
-        assert env.tracer is NULL_TRACER
+        assert env.probe is NULL_PROBE
+        assert NULL_PROBE.causal is None
 
 
 class TestTracer:

@@ -69,7 +69,7 @@ def test_trace_a_migration():
     out = run_example("trace_a_migration.py")
     assert "migration traced" in out
     assert "trace events recorded" in out
-    assert "push.chunks" in out
+    assert "push.batch.chunks" in out
     assert "load it in Perfetto" in out
 
 

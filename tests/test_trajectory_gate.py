@@ -136,3 +136,27 @@ def test_obs_overhead_is_reported_not_gated(trajectory, monkeypatch):
     before = trajectory._aggregate_events_per_s(entry)
     entry["scenarios"].append(overhead)
     assert trajectory._aggregate_events_per_s(entry) == before
+
+
+def test_git_head_marks_an_uncommitted_tree_dirty(trajectory, tmp_path):
+    """An entry measured on a modified tree must not carry the bare hash
+    of the commit it was modified from."""
+    import subprocess
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=t",
+             "-c", "user.email=t@example.invalid", *args],
+            capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "f.txt").write_text("one\n")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "first")
+    head = git("rev-parse", "--short", "HEAD")
+    assert trajectory._git_head(tmp_path) == head
+    (tmp_path / "f.txt").write_text("two\n")
+    assert trajectory._git_head(tmp_path) == f"{head}-dirty"
+    git("commit", "-q", "-am", "second")
+    assert trajectory._git_head(tmp_path) == git("rev-parse", "--short",
+                                                 "HEAD")
